@@ -20,7 +20,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 from .model import (
     ActionKind,
@@ -30,6 +30,7 @@ from .model import (
     ModelBundle,
     ThimacKind,
     TmError,
+    successor_table,
 )
 from .engine import Configuration, init, quiescent, step
 
@@ -49,7 +50,11 @@ class BehaviorGraph:
         return (src, dst) in self.edges
 
     def successors(self, src: str):
-        return sorted(dst for s, dst in self.edges if s == src)
+        return list(self._successors.get(src, ()))
+
+    @cached_property
+    def _successors(self) -> dict:
+        return successor_table(self.edges)
 
 
 def behavior_graph(bundle: ModelBundle) -> BehaviorGraph:

@@ -43,9 +43,22 @@ from .fsmbridge import (
 from .model import SEV_ERROR, TmError
 
 
+class UnreadableInput(Exception):
+    """An input file that is not UTF-8 text."""
+
+
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        before = data[:err.start].decode("utf-8")
+        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise UnreadableInput(f"{path}:{line}:{col}: not UTF-8 text (byte "
+                              f"0x{data[err.start]:02x}: {err.reason})") from None
+    # line ends as text mode reads them
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _emit(text: str, out) -> None:
@@ -228,9 +241,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TmError as err:
-        print(f"error: {err.code}: {err}", file=sys.stderr)
+        print(f"error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
+    except (OSError, UnreadableInput) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

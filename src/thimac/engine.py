@@ -37,39 +37,30 @@ timer still counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
+from .dsl import _escape, _unescape
 from .model import (
+    STAGE_DEPTH,
+    STORE_KINDS,
     ActionKind,
-    ActionRef,
     CounterCmp,
     E_COUNTER_RANGE,
     E_DUP_ID,
     E_SYNTAX,
-    E_UNRESOLVED_REF,
     Effect,
-    Event,
+    EventInfo,
     FlagTest,
     ModelBundle,
+    Program,
     SubjectMode,
-    Thimac,
     ThimacKind,
     TimerExpired,
     TmError,
-    decompose_flows,
-    guard_text,
-    induced_region,
-    region_paths,
-    subject_mode,
+    compile,
+    initial_problem,
 )
-
-# Resting stages of a token inside a thimac, shallow to deep.
-_STAGE_DEPTH = {
-    ActionKind.RELEASE: 0,
-    ActionKind.RECEIVE: 1,
-    ActionKind.PROCESS: 2,
-}
 
 
 @dataclass
@@ -147,130 +138,6 @@ class TraceEntry:
 
 
 # ---------------------------------------------------------------------------
-# Static analysis cached per bundle
-# ---------------------------------------------------------------------------
-
-
-class _EventInfo:
-    def __init__(self, bundle: ModelBundle, event: Event):
-        model = bundle.model
-        self.event = event
-        self.region = induced_region(model, event.region)
-        self.mode = subject_mode(model, event)
-        self.paths = ()
-        self.progress_thimac = None
-        self.progress_target = None
-        if self.mode == SubjectMode.FLOW:
-            self.paths = region_paths(model, event)
-        elif self.mode == SubjectMode.PROGRESSION:
-            tmap = model.thimac_map()
-            stages = {}
-            for ref in sorted(event.region, key=str):
-                t = tmap.get(ref.thimac)
-                if t is None or t.is_store:
-                    continue
-                if ref.action in _STAGE_DEPTH:
-                    stages.setdefault(ref.thimac, []).append(ref.action)
-            # the subject advances within the thimac whose receive or
-            # process stage the region holds; first by name when several
-            deep = (ActionKind.RECEIVE, ActionKind.PROCESS)
-            tid = sorted(t for t, acts in stages.items()
-                         if any(a in deep for a in acts))[0]
-            self.progress_thimac = tid
-            self.progress_target = max(stages[tid], key=_STAGE_DEPTH.get)
-        # canonical application order for induced triggers
-        self.apply_order = tuple(sorted(
-            self.region.triggers,
-            key=lambda t: (str(t.src), str(t.dst),
-                           t.effect.value if t.effect else "",
-                           guard_text(t.guard)),
-        ))
-        # gating guards: effectful triggers gate unless they share their
-        # source and target with another induced trigger; signals gate
-        # when they point at a path head, or anywhere in a flow-less
-        # region
-        groups = {}
-        for t in self.region.triggers:
-            groups.setdefault((t.src, t.dst), []).append(t)
-        heads = {p[0] for p in self.paths}
-        gates = []
-        for (_, dst), members in sorted(groups.items(),
-                                        key=lambda kv: (str(kv[0][0]),
-                                                        str(kv[0][1]))):
-            if len(members) >= 2:
-                continue
-            t = members[0]
-            if t.effect is not None:
-                gates.append(t.guard)
-            elif (self.paths and t.dst in heads) or not self.region.flows:
-                gates.append(t.guard)
-        self.gates = tuple(gates)
-        # write sets for conflict detection: flags and timers the event
-        # may touch (counters commute and are left out)
-        flags = set()
-        timers = set()
-        tmap = model.thimac_map()
-        for t in self.region.triggers:
-            if t.effect in (Effect.SET, Effect.CLEAR):
-                flags.add(t.dst.thimac)
-            elif t.effect in (Effect.RESET, Effect.START):
-                target = tmap.get(t.dst.thimac)
-                if target is not None and target.kind == ThimacKind.TIMER:
-                    timers.add(t.dst.thimac)
-        self.write_flags = frozenset(flags)
-        self.write_timers = frozenset(timers)
-
-
-class _Index:
-    """Per-bundle lookup tables for the stepper."""
-
-    def __init__(self, bundle: ModelBundle):
-        self.bundle = bundle
-        model = bundle.model
-        self.thimacs = model.thimac_map()
-        self.events = bundle.event_map()
-        order = bundle.priority_order()
-        self.priority = {eid: i for i, eid in enumerate(order)}
-        self.successors = {eid: bundle.successors(eid) for eid in self.events}
-        self.info = {eid: _EventInfo(bundle, ev)
-                     for eid, ev in self.events.items()}
-        # events to pend when a token lands in a thimac
-        self.injection_events = {}
-        for t in model.thimacs:
-            hits = [e.id for e in bundle.events
-                    if any(r.thimac == t.id for r in e.region)]
-            self.injection_events[t.id] = tuple(hits)
-        # events to pend when a timer runs out
-        self.expiry_events = {}
-        for eid, info in self.info.items():
-            for tr in info.region.triggers:
-                for atom in tr.guard:
-                    if isinstance(atom, TimerExpired):
-                        self.expiry_events.setdefault(atom.timer, [])
-                        if eid not in self.expiry_events[atom.timer]:
-                            self.expiry_events[atom.timer].append(eid)
-
-    def entry_key(self, entry):
-        eid, subj = entry
-        return (self.priority.get(eid, len(self.priority)), subj or "")
-
-
-_INDEX_CACHE = {}
-
-
-def _index(bundle: ModelBundle) -> _Index:
-    cached = _INDEX_CACHE.get(id(bundle))
-    if cached is not None and cached.bundle is bundle:
-        return cached
-    idx = _Index(bundle)
-    _INDEX_CACHE[id(bundle)] = idx
-    if len(_INDEX_CACHE) > 64:
-        _INDEX_CACHE.clear()
-        _INDEX_CACHE[id(bundle)] = idx
-    return idx
-
-
-# ---------------------------------------------------------------------------
 # Guards and views
 # ---------------------------------------------------------------------------
 
@@ -342,11 +209,9 @@ def _eval_guard(guard, view: _View) -> bool:
 class _Binding:
     """A resolved event instance ready to fire."""
 
-    info: _EventInfo
+    info: EventInfo
     subject: Optional[str]          # recorded in the trace
     moves: tuple                    # (label, path) pairs for flow events
-    advance: Optional[str]          # token label for progression
-    enters_process: bool
     write_set: frozenset
 
 
@@ -358,21 +223,20 @@ def _pick(candidates, deepest: bool):
         return None
     sign = -1 if deepest else 1
     return min(candidates,
-               key=lambda c: (sign * _STAGE_DEPTH[c[1]], c[2]))[0]
+               key=lambda c: (sign * STAGE_DEPTH[c[1]], c[2]))[0]
 
 
-def _resolve(index: _Index, eid: str, subj, view: _View):
+def _resolve(prog: Program, eid: str, subj, view: _View):
     """Resolve one pending instance against a view; None when the event
     cannot fire (failed guards, missing tokens, occupied stage)."""
-    info = index.info[eid]
+    info = prog.info[eid]
     for guard in info.gates:
         if not _eval_guard(guard, view):
             return None
     places = view.placements()
 
     if info.mode == SubjectMode.SUBJECTLESS:
-        return _Binding(info, subj, (), None, False, frozenset(
-            info.write_flags | info.write_timers))
+        return _Binding(info, subj, (), info.writes)
 
     if info.mode == SubjectMode.FLOW:
         by_thimac = {}
@@ -398,9 +262,7 @@ def _resolve(index: _Index, eid: str, subj, view: _View):
                 return None
             bound.add(stim)
             moves.append((stim, path))
-        writes = bound | info.write_flags | info.write_timers
-        return _Binding(info, primary, tuple(moves), None, False,
-                        frozenset(writes))
+        return _Binding(info, primary, tuple(moves), info.writes | bound)
 
     # progression
     tid = info.progress_thimac
@@ -411,26 +273,23 @@ def _resolve(index: _Index, eid: str, subj, view: _View):
         spot = places.get(subj)
         if spot is None or spot[0] != tid:
             return None
-        if _STAGE_DEPTH[spot[1]] > _STAGE_DEPTH[target]:
-            return None
         chosen = subj
-        stage = spot[1]
     else:
         chosen = _pick(here, deepest=False)
         if chosen is None:
             return None
-        stage = places[chosen][1]
-        if _STAGE_DEPTH[stage] > _STAGE_DEPTH[target]:
-            return None
+    stage = places[chosen][1]
+    if STAGE_DEPTH[stage] > STAGE_DEPTH[target]:
+        return None
     enters = stage != target and target == ActionKind.PROCESS
     if enters:
         for label, (t, s, _) in places.items():
             if t == tid and s == ActionKind.PROCESS and label != chosen:
                 return None
-    writes = {chosen} | info.write_flags | info.write_timers
+    writes = info.writes | {chosen}
     if enters:
-        writes.add(("proc", tid))
-    return _Binding(info, chosen, (), chosen, enters, frozenset(writes))
+        writes |= {("proc", tid)}
+    return _Binding(info, chosen, (), writes)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +297,8 @@ def _resolve(index: _Index, eid: str, subj, view: _View):
 # ---------------------------------------------------------------------------
 
 
-def _apply_triggers(index: _Index, info: _EventInfo, cfg: Configuration):
+def _apply_triggers(prog: Program, info: EventInfo, cfg: Configuration,
+                    initial: dict):
     live = _View(cfg, frozen=False)
     for tr in info.apply_order:
         if tr.effect is None:
@@ -446,7 +306,7 @@ def _apply_triggers(index: _Index, info: _EventInfo, cfg: Configuration):
         if not _eval_guard(tr.guard, live):
             continue
         target = tr.dst.thimac
-        kind = index.thimacs[target].kind
+        kind = prog.thimacs[target].kind
         if tr.effect == Effect.INC:
             cfg.counters[target] += 1
         elif tr.effect == Effect.DEC:
@@ -456,9 +316,8 @@ def _apply_triggers(index: _Index, info: _EventInfo, cfg: Configuration):
         elif tr.effect == Effect.CLEAR:
             cfg.flags[target] = False
         elif tr.effect == Effect.RESET and kind == ThimacKind.COUNTER:
-            decl = index.thimacs[target]
-            cfg.counters[target] = int(index.bundle.initial.get(
-                target, decl.init))
+            decl = prog.thimacs[target]
+            cfg.counters[target] = int(initial.get(target, decl.init))
         else:
             # reset and start both rewind a timer to its full duration
             ts = cfg.timers[target]
@@ -466,18 +325,14 @@ def _apply_triggers(index: _Index, info: _EventInfo, cfg: Configuration):
             ts.expired = False
 
 
-def _move_tokens(index: _Index, binding: _Binding, cfg: Configuration):
+def _move_tokens(prog: Program, binding: _Binding, cfg: Configuration):
     info = binding.info
     if info.mode == SubjectMode.FLOW:
         for label, path in binding.moves:
             tok = cfg.tokens[label]
             last = path[-1]
-            if last.action == ActionKind.TRANSFER:
-                tok.thimac = None
-                tok.stage = None
-                continue
-            kind = index.thimacs[last.thimac].kind
-            if kind == ThimacKind.SINK:
+            if (last.action == ActionKind.TRANSFER
+                    or prog.thimacs[last.thimac].kind == ThimacKind.SINK):
                 tok.thimac = None
                 tok.stage = None
             else:
@@ -488,34 +343,32 @@ def _move_tokens(index: _Index, binding: _Binding, cfg: Configuration):
         tok.stage = info.progress_target
 
 
-def _subject_bearing(index: _Index, eid: str) -> bool:
-    return index.info[eid].mode != SubjectMode.SUBJECTLESS
-
-
-def _fire(index: _Index, eid: str, binding: _Binding, cfg: Configuration,
-          fired: list, write_sets: list, cofired: set):
-    event = index.events[eid]
-    _move_tokens(index, binding, cfg)
-    _apply_triggers(index, binding.info, cfg)
+def _fire(prog: Program, initial: dict, eid: str, binding: _Binding,
+          cfg: Configuration, fired: list, write_sets: list, cofired: set):
+    event = prog.events[eid]
+    _move_tokens(prog, binding, cfg)
+    _apply_triggers(prog, binding.info, cfg, initial)
     fired.append(FiredEvent(eid, binding.subject, event.bookkeeping))
     write_sets.append(binding.write_set)
     context = binding.subject
-    for succ_id in index.successors[eid]:
-        succ = index.events[succ_id]
+    for succ_id in prog.successors.get(eid, ()):
+        succ = prog.events[succ_id]
         if succ.bookkeeping:
             if succ_id in cofired:
                 continue
             cofired.add(succ_id)
             live = _View(cfg, frozen=False)
-            b2 = _resolve(index, succ_id, context, live)
+            b2 = _resolve(prog, succ_id, context, live)
             if b2 is None and context is not None:
                 # a co-fire may rebind mid-tick when the handed-down
                 # subject no longer fits
-                b2 = _resolve(index, succ_id, None, live)
+                b2 = _resolve(prog, succ_id, None, live)
             if b2 is not None:
-                _fire(index, succ_id, b2, cfg, fired, write_sets, cofired)
+                _fire(prog, initial, succ_id, b2, cfg, fired, write_sets,
+                      cofired)
         else:
-            carry = context if _subject_bearing(index, succ_id) else None
+            bearing = prog.info[succ_id].mode != SubjectMode.SUBJECTLESS
+            carry = context if bearing else None
             cfg.pending.add((succ_id, carry))
 
 
@@ -527,95 +380,77 @@ def _fire(index: _Index, eid: str, binding: _Binding, cfg: Configuration,
 def init(bundle: ModelBundle) -> Configuration:
     """Fresh configuration at tick 0: declared store values with the
     bundle's initial overrides applied, no tokens, nothing pending.
-    Raises TmError when an override is unusable."""
-    counters = {}
-    flags = {}
-    timers = {}
-    for t in bundle.model.thimacs:
-        override = bundle.initial.get(t.id)
-        if t.kind == ThimacKind.COUNTER:
-            value = t.init if override is None else override
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TmError(E_SYNTAX,
-                              f"counter override for {t.id} must be an integer")
-            if not (t.lo <= value <= t.hi):
-                raise TmError(E_COUNTER_RANGE,
-                              f"initial value {value} for {t.id} outside "
-                              f"{t.lo}..{t.hi}")
-            counters[t.id] = value
-        elif t.kind == ThimacKind.FLAG:
-            value = t.init if override is None else override
-            if not isinstance(value, bool):
-                raise TmError(E_SYNTAX,
-                              f"flag override for {t.id} must be true or false")
-            flags[t.id] = value
-        elif t.kind == ThimacKind.TIMER:
-            duration = t.duration if override is None else override
-            if not isinstance(duration, int) or isinstance(duration, bool):
-                raise TmError(E_SYNTAX,
-                              f"timer override for {t.id} must be an integer")
-            if duration < 1:
-                raise TmError(E_COUNTER_RANGE,
-                              f"timer {t.id} duration must be at least 1")
-            timers[t.id] = TimerState(duration)
-    for tid in bundle.initial:
-        t = bundle.model.thimac_map().get(tid)
-        if t is None or not t.is_store:
-            raise TmError(E_UNRESOLVED_REF,
-                          f"initial override targets {tid} which is not a store")
-    return Configuration(0, counters, flags, timers, {}, set())
+    Raises TmError when a starting value is unusable."""
+    values = {t.id: t.start for t in bundle.model.thimacs if t.is_store}
+    values.update(bundle.initial)
+    tmap = bundle.model.thimac_map()
+    stores = {kind: {} for kind in STORE_KINDS}
+    for tid, value in values.items():
+        problem = initial_problem(tmap.get(tid), tid, value)
+        if problem is not None:
+            raise TmError(*problem)
+        stores[tmap[tid].kind][tid] = value
+    timers = {tid: TimerState(d) for tid, d in stores[ThimacKind.TIMER].items()}
+    return Configuration(0, stores[ThimacKind.COUNTER], stores[ThimacKind.FLAG],
+                         timers, {}, set())
 
 
-def _inject(index: _Index, cfg: Configuration, tick: int):
-    for inj in index.bundle.schedule:
+def _inject(prog: Program, schedule, cfg: Configuration, tick: int):
+    for inj in schedule:
         if inj.tick != tick:
             continue
         if inj.label in cfg.tokens:
             raise TmError(E_DUP_ID,
                           f"token label {inj.label!r} injected twice")
-        thimac = index.thimacs.get(inj.thimac)
-        acts = thimac.effective_actions
+        acts = prog.thimacs[inj.thimac].effective_actions
         stage = (ActionKind.RECEIVE if ActionKind.RECEIVE in acts
                  else ActionKind.RELEASE)
         cfg.tokens[inj.label] = Token(inj.label, inj.thimac, stage,
                                       len(cfg.tokens), tick)
-        for eid in index.injection_events[inj.thimac]:
+        for eid in prog.injection_events.get(inj.thimac, ()):
             cfg.pending.add((eid, None))
+
+
+def _in_priority_order(prog: Program, pending):
+    last = len(prog.priority)
+    return sorted(pending, key=lambda entry: (prog.priority.get(entry[0], last),
+                                              entry[1] or ""))
 
 
 def step(bundle: ModelBundle, config: Configuration):
     """Execute one tick; returns (new configuration, trace entry)."""
-    index = _index(bundle)
+    prog = compile(bundle)
     cfg = config.copy()
     tick = cfg.tick + 1
     cfg.tick = tick
 
-    _inject(index, cfg, tick)
+    _inject(prog, bundle.schedule, cfg, tick)
     snapshot = _View(cfg, frozen=True)
 
-    entries = sorted(cfg.pending, key=index.entry_key)
+    entries = _in_priority_order(prog, cfg.pending)
     cfg.pending = set()
     fired = []
     write_sets = []
     cofired = set()
     for eid, subj in entries:
-        binding = _resolve(index, eid, subj, snapshot)
+        binding = _resolve(prog, eid, subj, snapshot)
         if binding is None:
             continue
         if any(binding.write_set & ws for ws in write_sets):
             cfg.pending.add((eid, subj))
             continue
-        _fire(index, eid, binding, cfg, fired, write_sets, cofired)
+        _fire(prog, bundle.initial, eid, binding, cfg, fired, write_sets,
+              cofired)
 
     # tokens injected this tick that never left their source drain away
     for tok in cfg.tokens.values():
         if (tok.alive and tok.injected_at == tick
-                and index.thimacs[tok.thimac].kind == ThimacKind.SOURCE):
+                and prog.thimacs[tok.thimac].kind == ThimacKind.SOURCE):
             tok.thimac = None
             tok.stage = None
 
     for tid, value in cfg.counters.items():
-        decl = index.thimacs[tid]
+        decl = prog.thimacs[tid]
         if not (decl.lo <= value <= decl.hi):
             raise TmError(E_COUNTER_RANGE,
                           f"counter {tid} left its range {decl.lo}..{decl.hi} "
@@ -628,7 +463,7 @@ def step(bundle: ModelBundle, config: Configuration):
         if ts.remaining <= 0:
             ts.remaining = None
             ts.expired = True
-            for eid in index.expiry_events.get(tid, ()):
+            for eid in prog.expiry_events.get(tid, ()):
                 cfg.pending.add((eid, None))
 
     return cfg, TraceEntry(tick, tuple(fired))
@@ -662,13 +497,13 @@ def enabled_events(bundle: ModelBundle, config: Configuration):
     """Instances that could fire in the upcoming tick, in priority
     order, with the subjects they would bind.  Includes the injections
     scheduled for that tick; ignores conflicts."""
-    index = _index(bundle)
+    prog = compile(bundle)
     cfg = config.copy()
-    _inject(index, cfg, cfg.tick + 1)
+    _inject(prog, bundle.schedule, cfg, cfg.tick + 1)
     snapshot = _View(cfg, frozen=True)
     out = []
-    for eid, subj in sorted(cfg.pending, key=index.entry_key):
-        binding = _resolve(index, eid, subj, snapshot)
+    for eid, subj in _in_priority_order(prog, cfg.pending):
+        binding = _resolve(prog, eid, subj, snapshot)
         if binding is not None:
             out.append((eid, binding.subject))
     return out
@@ -702,34 +537,13 @@ def format_trace(trace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') \
-                     .replace("\n", "\\n").replace("\t", "\\t") + '"'
-
-
-def _unquote(text: str) -> str:
-    body = text[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            out.append({"n": "\n", "t": "\t"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
 def format_trace_records(trace) -> str:
     """Machine form: one tab-separated record per fired instance with
     tick, event, quoted subject (`-` when none), bookkeeping 0/1."""
     lines = []
     for entry in trace:
         for f in entry.fired:
-            subject = _quote(f.subject) if f.subject is not None else "-"
+            subject = _escape(f.subject) if f.subject is not None else "-"
             lines.append(f"{entry.tick}\t{f.event}\t{subject}\t"
                          f"{1 if f.bookkeeping else 0}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -752,7 +566,7 @@ def parse_trace_records(text: str):
         except ValueError:
             raise TmError(E_SYNTAX,
                           f"trace record line {lineno}: bad tick {tick_text!r}")
-        subject = None if subject_text == "-" else _unquote(subject_text)
+        subject = None if subject_text == "-" else _unescape(subject_text)
         by_tick.setdefault(tick, []).append(
             FiredEvent(event, subject, bk == "1"))
     return [TraceEntry(tick, tuple(fired))

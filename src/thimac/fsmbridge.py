@@ -50,6 +50,7 @@ from .model import (
     ThimacKind,
     TmError,
     TriggerEdge,
+    classify_event,
     extract_region,
     has_errors,
     validate_model,
@@ -191,15 +192,10 @@ def _gerund(label: str) -> str:
 def fsm_to_tm(spec: FsmSpec) -> ModelBundle:
     """Build and validate the thing-machine form of a state machine."""
     state_id = {s: _safe(f"st.{s}") for s in spec.states}
-    labels = []
-    for t in spec.transitions:
-        if t.label not in labels:
-            labels.append(t.label)
+    labels = list(dict.fromkeys(t.label for t in spec.transitions))
     stim_id = {l: _safe(f"stim.{l}") for l in labels}
-    guards = []
-    for t in spec.transitions:
-        if t.guard is not None and t.guard not in guards:
-            guards.append(t.guard)
+    guards = list(dict.fromkeys(t.guard for t in spec.transitions
+                                if t.guard is not None))
 
     thimacs = [Thimac(state_id[s], ThimacKind.MACHINE, _FIVE)
                for s in spec.states]
@@ -212,10 +208,12 @@ def fsm_to_tm(spec: FsmSpec) -> ModelBundle:
         return ActionRef(tid, action)
 
     flows = []
+    seen_flows = set()
 
     def flow(src, dst):
         edge = FlowEdge(src, dst)
-        if edge not in flows:
+        if edge not in seen_flows:
+            seen_flows.add(edge)
             flows.append(edge)
 
     for t in spec.transitions:
@@ -238,13 +236,17 @@ def fsm_to_tm(spec: FsmSpec) -> ModelBundle:
             None, guard))
 
     used_ids = set()
+    next_suffix = {}
 
     def unique(base):
+        # suffixes below next_suffix[base] are taken for good, so the
+        # search resumes there instead of rescanning from 2
         eid = base
-        n = 2
+        n = next_suffix.get(base, 2)
         while eid in used_ids:
             eid = f"{base}{n}"
             n += 1
+        next_suffix[base] = n
         used_ids.add(eid)
         return eid
 
@@ -341,8 +343,7 @@ def project_states(spec: FsmSpec, bundle: ModelBundle,
         if refs is None:
             continue
         region = extract_region(bundle.model, refs)
-        cls = (EventClass.GENERIC if len(region.actions) == 1
-               else EventClass.COMPOUND)
+        cls = classify_event(region)
         entries.append(StateProjection(
             state, frozenset(region.actions), cls,
             _weakly_connected(region), cls == EventClass.GENERIC))

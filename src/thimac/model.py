@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Union
 
 
@@ -24,6 +26,10 @@ class ActionKind(Enum):
     RELEASE = "release"
     TRANSFER = "transfer"
     RECEIVE = "receive"
+
+    # members are singletons compared by identity; Enum's own __hash__
+    # is a Python-level call paid on every ActionRef lookup
+    __hash__ = object.__hash__
 
 
 # Canonical emission order for action sets.
@@ -125,6 +131,12 @@ def guard_text(guard: Guard) -> str:
     return " and ".join(str(atom) for atom in guard)
 
 
+def trigger_key(t) -> tuple:
+    """Canonical trigger order: emission order and firing order alike."""
+    return (str(t.src), str(t.dst), t.effect.value if t.effect else "",
+            guard_text(t.guard))
+
+
 # ---------------------------------------------------------------------------
 # Static layer
 # ---------------------------------------------------------------------------
@@ -154,6 +166,11 @@ class Thimac:
         return self.kind in STORE_KINDS
 
     @property
+    def start(self):
+        """Declared starting value: a timer's duration, else `init`."""
+        return self.duration if self.kind == ThimacKind.TIMER else self.init
+
+    @property
     def effective_actions(self) -> frozenset:
         if self.is_store:
             return frozenset({ActionKind.CREATE})
@@ -178,17 +195,45 @@ class TriggerEdge:
     guard: Guard = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class StaticModel:
-    """The wiring layer: thimacs plus flow and trigger edges."""
+    """The wiring layer: thimacs plus flow and trigger edges.  Frozen, so
+    the tables and event analyses cached on it never go stale."""
 
     thimacs: tuple = ()
     flows: tuple = ()
     triggers: tuple = ()
     name: str = ""
 
-    def thimac_map(self) -> dict:
+    def thimac_map(self):
+        """Read-only view from id to thimac."""
+        return MappingProxyType(self._by_id)
+
+    @cached_property
+    def _by_id(self) -> dict:
         return {t.id: t for t in self.thimacs}
+
+    @cached_property
+    def _edges_from(self) -> tuple:
+        # for flows, then triggers: source -> target -> edge indices
+        def table(edges):
+            out: dict = {}
+            for i, e in enumerate(edges):
+                out.setdefault(e.src, {}).setdefault(e.dst, []).append(i)
+            return out
+        return table(self.flows), table(self.triggers)
+
+    @cached_property
+    def _event_infos(self) -> dict:
+        return {}
+
+    def event_info(self, event: "Event") -> "EventInfo":
+        """The event's region analysis against this model, computed once
+        and shared by validation and every compiled program."""
+        info = self._event_infos.get(event)
+        if info is None:
+            info = self._event_infos[event] = EventInfo(self, event)
+        return info
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +266,15 @@ class Injection:
     label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelBundle:
     """A complete model: wiring, events, chronology, priority, schedule.
 
     `initial` holds optional per-store overrides of declared initial
     values (counter value, flag value, or timer duration), applied when
-    a run is initialized.
+    a run is initialized.  Bundles are frozen: derive a variant with
+    `dataclasses.replace(bundle, schedule=...)`, which shares the
+    original's compiled program.
     """
 
     model: StaticModel
@@ -248,7 +295,30 @@ class ModelBundle:
         return tuple(listed + rest)
 
     def successors(self, event_id: str) -> tuple:
-        return tuple(dst for src, dst in sorted(self.behavior) if src == event_id)
+        return self._successors.get(event_id, ())
+
+    @cached_property
+    def _successors(self) -> dict:
+        return successor_table(self.behavior)
+
+    @cached_property
+    def _program(self) -> "Program":
+        # bundles made by dataclasses.replace share the model, events,
+        # behavior and priority, so they share the model's last program
+        cache = self.model.__dict__
+        program = cache.get("_program")
+        if (program is None or program.source
+                != (self.events, self.behavior, self.priority)):
+            program = cache["_program"] = Program(self)
+        return program
+
+
+def successor_table(edges) -> dict:
+    """Chronology edges as event id -> sorted successor ids."""
+    table: dict = {}
+    for src, dst in sorted(edges):
+        table.setdefault(src, []).append(dst)
+    return {src: tuple(dsts) for src, dsts in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +405,35 @@ class SubjectMode(Enum):
 
 def induced_region(model: StaticModel, actions: frozenset, parent: str = "") -> Region:
     """Region over the given actions with the edges both of whose
-    endpoints fall inside the set.  No reference checking."""
-    flows = tuple(f for f in model.flows if f.src in actions and f.dst in actions)
-    triggers = tuple(t for t in model.triggers if t.src in actions and t.dst in actions)
-    return Region(parent or model.name, frozenset(actions), flows, triggers)
+    endpoints fall inside the set, in model order.  No reference
+    checking.  Costs at most the edges leaving the set, and at most the
+    set's size per action, never the whole model."""
+    actions = frozenset(actions)
+
+    def inside(edges, table):
+        hits = []
+        for a in actions:
+            out = table.get(a, ())
+            # walk the smaller side, so a hub costs no more than the set
+            for b in (out if len(out) <= len(actions) else actions):
+                if b in out and b in actions:
+                    hits.extend(out[b])
+        return tuple(edges[i] for i in sorted(hits))
+
+    flows_from, triggers_from = model._edges_from
+    return Region(parent or model.name, actions,
+                  inside(model.flows, flows_from),
+                  inside(model.triggers, triggers_from))
+
+
+def ref_problem(tmap, ref: ActionRef) -> Optional[str]:
+    """Why `ref` names no action of the thimacs in `tmap`; None if it does."""
+    t = tmap.get(ref.thimac)
+    if t is None:
+        return f"unknown thimac {ref.thimac}"
+    if ref.action not in t.effective_actions:
+        return f"thimac {ref.thimac} has no {ref.action.value} action"
+    return None
 
 
 def extract_region(model: StaticModel, action_refs) -> Region:
@@ -352,14 +447,9 @@ def extract_region(model: StaticModel, action_refs) -> Region:
         raise TmError(E_EMPTY_REGION, "region has no actions")
     tmap = model.thimac_map()
     for ref in sorted(actions, key=str):
-        t = tmap.get(ref.thimac)
-        if t is None:
-            raise TmError(E_UNRESOLVED_REF, f"unknown thimac {ref.thimac}")
-        if ref.action not in t.effective_actions:
-            raise TmError(
-                E_UNRESOLVED_REF,
-                f"thimac {ref.thimac} has no {ref.action.value} action",
-            )
+        problem = ref_problem(tmap, ref)
+        if problem is not None:
+            raise TmError(E_UNRESOLVED_REF, problem)
     return induced_region(model, actions)
 
 
@@ -374,17 +464,7 @@ def subject_mode(model: StaticModel, event: Event) -> SubjectMode:
     """Flow if the region induces flow edges; progression if it holds a
     resting stage (receive or process) of a token thimac; subjectless
     otherwise."""
-    region = induced_region(model, event.region)
-    if region.flows:
-        return SubjectMode.FLOW
-    tmap = model.thimac_map()
-    for ref in event.region:
-        t = tmap.get(ref.thimac)
-        if t is None or t.kind not in TOKEN_KINDS:
-            continue
-        if ref.action in (ActionKind.RECEIVE, ActionKind.PROCESS):
-            return SubjectMode.PROGRESSION
-    return SubjectMode.SUBJECTLESS
+    return model.event_info(event).mode
 
 
 def decompose_flows(region: Region):
@@ -426,29 +506,124 @@ def decompose_flows(region: Region):
 
 
 def region_paths(model: StaticModel, event: Event):
-    """Paths for a flow event with the primary path first.
+    """Paths for a flow event, led by the primary path: the first in
+    start order not ending in a sink, else the first.  Raises TmError on
+    a malformed region."""
+    info = model.event_info(event)
+    if info.paths is None:
+        raise TmError(E_REGION_FLOWS, f"event {event.id}: {info.reason}")
+    return info.paths
 
-    The primary path is the first one (in start order) whose final
-    thimac is not a sink; if every path ends in a sink the first path is
-    primary.  Raises TmError on a malformed region.
-    """
-    region = induced_region(model, event.region)
-    paths, reason = decompose_flows(region)
-    if paths is None:
-        raise TmError(E_REGION_FLOWS, f"event {event.id}: {reason}")
-    if not paths:
-        return ()
-    tmap = model.thimac_map()
-    primary = None
-    for p in paths:
-        sink_thimac = tmap.get(p[-1].thimac)
-        if sink_thimac is not None and sink_thimac.kind != ThimacKind.SINK:
-            primary = p
-            break
-    if primary is None:
-        primary = paths[0]
-    rest = tuple(p for p in paths if p is not primary)
-    return (primary,) + rest
+
+# Resting stages of a token inside a thimac, shallow to deep.
+STAGE_DEPTH = {
+    ActionKind.RELEASE: 0,
+    ActionKind.RECEIVE: 1,
+    ActionKind.PROCESS: 2,
+}
+
+
+class EventInfo:
+    """What firing one event involves, independent of any run: region,
+    subject mode, flow paths (primary first; None with a `reason` when
+    malformed), progression target, gating guards, trigger firing order,
+    and the flags and timers it writes (counters commute, so are left
+    out).  `model.event_info(event)` computes it once per model."""
+
+    def __init__(self, model: StaticModel, event: Event):
+        tmap = model._by_id
+        self.event = event
+        self.region = region = induced_region(model, event.region)
+        paths, self.reason = decompose_flows(region)
+        if paths:
+            # the primary path leads: the first not ending in a sink
+            primary = next((p for p in paths
+                            if (t := tmap.get(p[-1].thimac)) is not None
+                            and t.kind != ThimacKind.SINK), paths[0])
+            paths = (primary,) + tuple(p for p in paths if p is not primary)
+        self.paths = paths
+
+        self.mode = SubjectMode.FLOW if region.flows else SubjectMode.SUBJECTLESS
+        self.progress_thimac = self.progress_target = None
+        if not region.flows:
+            stages: dict = {}
+            for ref in event.region:
+                t = tmap.get(ref.thimac)
+                if t is not None and t.kind in TOKEN_KINDS and ref.action in STAGE_DEPTH:
+                    stages.setdefault(ref.thimac, []).append(ref.action)
+            # the subject advances within the thimac whose receive or
+            # process stage the region holds; first by name when several
+            deep = [tid for tid, acts in stages.items()
+                    if ActionKind.RECEIVE in acts or ActionKind.PROCESS in acts]
+            if deep:
+                self.mode = SubjectMode.PROGRESSION
+                self.progress_thimac = min(deep)
+                self.progress_target = max(stages[self.progress_thimac],
+                                           key=STAGE_DEPTH.get)
+
+        # gating guards, all of which must hold: effectful triggers gate
+        # unless they share their source and target with another induced
+        # trigger; signals gate when they point at a path head, or
+        # anywhere in a flow-less region
+        groups: dict = {}
+        for t in region.triggers:
+            groups.setdefault((t.src, t.dst), []).append(t)
+        heads = {p[0] for p in paths or ()}
+        self.gates = tuple(
+            members[0].guard for (_, dst), members in groups.items()
+            if len(members) == 1 and (members[0].effect is not None
+                                      or dst in heads or not region.flows))
+        self.apply_order = tuple(sorted(region.triggers, key=trigger_key))
+
+        writes = set()
+        for t in region.triggers:
+            target = tmap.get(t.dst.thimac)
+            if t.effect in (Effect.SET, Effect.CLEAR) or (
+                    t.effect in (Effect.RESET, Effect.START)
+                    and target is not None and target.kind == ThimacKind.TIMER):
+                writes.add(t.dst.thimac)
+        self.writes = frozenset(writes)
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs
+# ---------------------------------------------------------------------------
+
+
+class Program:
+    """A bundle's schedule-independent analysis, built by `compile`: the
+    event analyses, priority ranks, chronology successors, and the
+    events to pend when a token lands in a thimac or a timer runs out.
+    The schedule and initial overrides are read at run time instead."""
+
+    def __init__(self, bundle: "ModelBundle"):
+        model = bundle.model
+        self.source = (bundle.events, bundle.behavior, bundle.priority)
+        self.thimacs = model._by_id
+        self.events = bundle.event_map()
+        self.priority = {eid: i for i, eid in enumerate(bundle.priority_order())}
+        self.successors = bundle._successors
+        self.info = {}
+        self.injection_events: dict = {}
+        self.expiry_events: dict = {}
+        for eid, event in self.events.items():
+            info = self.info[eid] = model.event_info(event)
+            if info.paths is None:
+                raise TmError(E_REGION_FLOWS, f"event {eid}: {info.reason}")
+            for tid in {ref.thimac for ref in event.region}:
+                self.injection_events.setdefault(tid, []).append(eid)
+            for tr in info.region.triggers:
+                for atom in tr.guard:
+                    if isinstance(atom, TimerExpired):
+                        self.expiry_events.setdefault(atom.timer, {})[eid] = None
+
+
+def compile(bundle: "ModelBundle") -> Program:
+    """The bundle's program, built once in linear time and shared by all
+    bundles with equal model, events, behavior and priority, such as
+    `dataclasses.replace(bundle, schedule=...)`.  Raises TmError
+    (E_REGION_FLOWS) when an event's flows are not simple paths."""
+    return bundle._program
 
 
 # ---------------------------------------------------------------------------
@@ -492,27 +667,19 @@ def validate_model(bundle, file: str = "<model>", positions=None):
             emit(("thimac", t.id), E_DUP_ID, f"duplicate thimac id {t.id}")
             continue
         tmap[t.id] = t
-        if t.kind == ThimacKind.COUNTER:
-            if t.lo > t.hi:
-                emit(("thimac", t.id), E_COUNTER_RANGE,
-                     f"counter {t.id} has empty range {t.lo}..{t.hi}")
-            elif not (t.lo <= int(t.init) <= t.hi):
-                emit(("thimac", t.id), E_COUNTER_RANGE,
-                     f"counter {t.id} initial value {t.init} outside {t.lo}..{t.hi}")
-        if t.kind == ThimacKind.TIMER and t.duration < 1:
+        if t.kind == ThimacKind.COUNTER and t.lo > t.hi:
             emit(("thimac", t.id), E_COUNTER_RANGE,
-                 f"timer {t.id} duration must be at least 1")
+                 f"counter {t.id} has empty range {t.lo}..{t.hi}")
+        elif t.is_store:
+            problem = initial_problem(t, t.id, t.start)
+            if problem is not None:
+                emit(("thimac", t.id), *problem)
 
     def resolve(ref: ActionRef, key) -> bool:
-        t = tmap.get(ref.thimac)
-        if t is None:
-            emit(key, E_UNRESOLVED_REF, f"unknown thimac {ref.thimac}")
-            return False
-        if ref.action not in t.effective_actions:
-            emit(key, E_UNRESOLVED_REF,
-                 f"thimac {ref.thimac} has no {ref.action.value} action")
-            return False
-        return True
+        problem = ref_problem(tmap, ref)
+        if problem is not None:
+            emit(key, E_UNRESOLVED_REF, problem)
+        return problem is None
 
     for i, f in enumerate(model.flows):
         key = ("flow", i)
@@ -572,10 +739,9 @@ def validate_model(bundle, file: str = "<model>", positions=None):
         for ref in sorted(e.region, key=str):
             ok &= resolve(ref, key)
         if ok:
-            region = induced_region(model, e.region)
-            paths, reason = decompose_flows(region)
-            if paths is None:
-                emit(key, E_REGION_FLOWS, f"event {e.id}: {reason}")
+            info = model.event_info(e)
+            if info.paths is None:
+                emit(key, E_REGION_FLOWS, f"event {e.id}: {info.reason}")
 
     for i, (src, dst) in enumerate(bundle.behavior):
         key = ("behavior", i)
@@ -598,25 +764,9 @@ def validate_model(bundle, file: str = "<model>", positions=None):
                  f"priority omits {', '.join(missing)}", SEV_WARNING)
 
     for tid, value in sorted(bundle.initial.items()):
-        key = ("initial", tid)
-        t = tmap.get(tid)
-        if t is None or t.kind not in STORE_KINDS:
-            emit(key, E_UNRESOLVED_REF,
-                 f"initial override targets {tid} which is not a store")
-        elif t.kind == ThimacKind.COUNTER:
-            if not isinstance(value, int) or isinstance(value, bool):
-                emit(key, E_SYNTAX, f"counter override for {tid} must be an integer")
-            elif not (t.lo <= value <= t.hi):
-                emit(key, E_COUNTER_RANGE,
-                     f"override {value} for {tid} outside {t.lo}..{t.hi}")
-        elif t.kind == ThimacKind.TIMER:
-            if not isinstance(value, int) or isinstance(value, bool):
-                emit(key, E_SYNTAX, f"timer override for {tid} must be an integer")
-            elif value < 1:
-                emit(key, E_COUNTER_RANGE,
-                     f"timer override for {tid} must be at least 1")
-        elif not isinstance(value, bool):
-            emit(key, E_SYNTAX, f"flag override for {tid} must be true or false")
+        problem = initial_problem(tmap.get(tid), tid, value)
+        if problem is not None:
+            emit(("initial", tid), *problem)
 
     for i, inj in enumerate(bundle.schedule):
         key = ("schedule", i)
@@ -633,17 +783,29 @@ def validate_model(bundle, file: str = "<model>", positions=None):
     return diags
 
 
+def initial_problem(t: Optional[Thimac], tid: str, value):
+    """(code, message) when store `tid`, declared as `t` (None when
+    undeclared), cannot start at `value`; None when it can."""
+    if t is None or t.kind not in STORE_KINDS:
+        return E_UNRESOLVED_REF, f"initial override targets {tid} which is not a store"
+    if t.kind == ThimacKind.FLAG:
+        if not isinstance(value, bool):
+            return E_SYNTAX, f"flag {tid} must start true or false"
+    elif not isinstance(value, int) or isinstance(value, bool):
+        return E_SYNTAX, f"{t.kind.value} {tid} must start at an integer"
+    elif t.kind == ThimacKind.COUNTER and not (t.lo <= value <= t.hi):
+        return E_COUNTER_RANGE, f"counter {tid} initial value {value} outside {t.lo}..{t.hi}"
+    elif t.kind == ThimacKind.TIMER and value < 1:
+        return E_COUNTER_RANGE, f"timer {tid} duration must be at least 1"
+    return None
+
+
 def canonicalize(bundle: ModelBundle) -> ModelBundle:
     """Normal form: everything sorted, priority spelled out in full."""
     model = StaticModel(
         thimacs=tuple(sorted(bundle.model.thimacs, key=lambda t: t.id)),
         flows=tuple(sorted(bundle.model.flows, key=lambda f: (str(f.src), str(f.dst)))),
-        triggers=tuple(sorted(
-            bundle.model.triggers,
-            key=lambda t: (str(t.src), str(t.dst),
-                           t.effect.value if t.effect else "",
-                           guard_text(t.guard)),
-        )),
+        triggers=tuple(sorted(bundle.model.triggers, key=trigger_key)),
         name=bundle.model.name,
     )
     return ModelBundle(

@@ -38,6 +38,15 @@ def test_validate_unreadable_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.tm"
+    bad.write_bytes(b"model m\n# caf\xe9\n")
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}:2:6: not UTF-8 text "
+        f"(byte 0xe9: invalid continuation byte)"]
+
+
 # --- run -----------------------------------------------------------------------
 
 def test_run_emits_trace_records(capsys):
@@ -184,7 +193,9 @@ def test_conform_unknown_event(tmp_path, capsys):
     path = tmp_path / "trace.txt"
     path.write_text('1\tE99\t"S1"\t0\n')
     assert main(["conform", ASSEMBLY, str(path)]) == 1
-    assert "E_UNRESOLVED_REF" in capsys.readouterr().err
+    # the code is printed once
+    assert capsys.readouterr().err == (
+        "error: E_UNRESOLVED_REF trace names unknown event 'E99'\n")
 
 
 # --- export-dot -----------------------------------------------------------------

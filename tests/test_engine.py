@@ -25,6 +25,8 @@ from thimac import (
     E_DUP_ID,
     E_UNRESOLVED_REF,
 )
+from thimac import model
+from thimac.behavior import reachable_configs
 from thimac.dsl import parse_file
 from thimac.engine import (
     Configuration,
@@ -511,3 +513,36 @@ def test_max_ticks_zero_returns_initial():
     cfg, trace = run(b, max_ticks=0)
     assert cfg.tick == 0
     assert trace == []
+
+
+# --- compiled programs --------------------------------------------------------------
+
+def test_replaced_schedules_compile_once(monkeypatch):
+    built = []
+
+    class CountingProgram(model.Program):
+        def __init__(self, b):
+            built.append(b)
+            super().__init__(b)
+
+    monkeypatch.setattr(model, "Program", CountingProgram)
+    base = assembly()
+    schedules = [(Injection(1 + k % 7, "env", f"t{k}"),) for k in range(50)]
+    for sched in schedules:
+        b = dataclasses.replace(base, schedule=sched)
+        enabled_events(b, init(b))
+        run(b, max_ticks=30)
+    reachable_configs(base, ("B1.count", "M1"), max_ticks=30,
+                      schedules=schedules)
+    assert len(built) == 1
+
+
+def test_replaced_priority_is_honoured():
+    b = conflict_bundle()
+    first = [[("raise", None)], [("lower", None)]]
+    assert [fired_list(e) for e in run(b)[1]] == first
+    flipped = dataclasses.replace(b, priority=tuple(reversed(b.priority)))
+    assert [fired_list(e) for e in run(flipped)[1]] == [
+        [("lower", None)], [("raise", None)]]
+    # the original keeps its own order
+    assert [fired_list(e) for e in run(b)[1]] == first

@@ -17,6 +17,8 @@ from thimac import (
     E_SYNTAX,
     E_UNRESOLVED_REF,
 )
+from thimac import model
+from thimac.dsl import parse, serialize
 from thimac.engine import run
 from thimac.fsmbridge import (
     FsmSpec,
@@ -280,3 +282,27 @@ def test_format_projection_lines():
     assert "Opened: 1 actions, generic" in text
     assert "suspicious" in text
     assert "unmapped: Closed" in text
+
+
+def test_chain_import_analyses_each_event_at_most_twice(monkeypatch):
+    # import validates once, the reparse validates once, and the run
+    # reuses the reparsed model's analyses: a rescan shows up here
+    calls = []
+    real = model.induced_region
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "induced_region", counting)
+    n = 60
+    lines = (["fsm chain"] + [f"state S{i}" for i in range(n)]
+             + ["initial S0"]
+             + [f"trans S{i} -> S{i + 1} on go" for i in range(n - 1)])
+    spec = parse_fsm("\n".join(lines)).spec
+    bundle = fsm_to_tm(spec)
+    reparsed = parse(serialize(bundle)).bundle
+    stimuli = [(2 + 2 * k, "go") for k in range(n - 1)]
+    state, _fired = drive(reparsed, spec, stimuli)
+    assert state == oracle_walk(spec, stimuli)[0] == f"S{n - 1}"
+    assert len(calls) <= 2 * len(bundle.events)

@@ -1,5 +1,7 @@
 """Structural checks: references, kinds, regions, validation."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from thimac import (
@@ -22,6 +24,7 @@ from thimac import (
     TriggerEdge,
     canonicalize,
     classify_event,
+    compile,
     decompose_flows,
     extract_region,
     guard_text,
@@ -200,15 +203,13 @@ def test_empty_region_rejected():
 
 
 def test_priority_checks():
-    base = clean_bundle()
-    base.priority = ("arrive", "ghost", "arrive")
+    base = replace(clean_bundle(), priority=("arrive", "ghost", "arrive"))
     got = codes(validate_model(base))
     assert E_UNRESOLVED_REF in got and E_DUP_ID in got
 
 
 def test_partial_priority_warns():
-    b = clean_bundle()
-    b.priority = ("arrive",)
+    b = replace(clean_bundle(), priority=("arrive",))
     diags = validate_model(b)
     # omission is a warning, not an error
     assert len(diags) == 1 and diags[0].severity == SEV_WARNING
@@ -218,30 +219,30 @@ def test_partial_priority_warns():
 
 def test_initial_override_checks():
     b = clean_bundle()
-    b.initial = {"c": 9}
+    b = replace(b, initial={"c": 9})
     assert codes(validate_model(b)) == [E_COUNTER_RANGE]
-    b.initial = {"f": 1}
+    b = replace(b, initial={"f": 1})
     assert codes(validate_model(b)) == [E_SYNTAX]
-    b.initial = {"M1": 2}
+    b = replace(b, initial={"M1": 2})
     assert codes(validate_model(b)) == [E_UNRESOLVED_REF]
-    b.initial = {"c": 2, "f": True}
+    b = replace(b, initial={"c": 2, "f": True})
     assert validate_model(b) == []
 
 
 def test_timer_override():
     b = bundle(thimacs=[timer("t")], initial={"t": 9})
     assert validate_model(b) == []
-    b.initial = {"t": 0}
+    b = replace(b, initial={"t": 0})
     assert codes(validate_model(b)) == [E_COUNTER_RANGE]
-    b.initial = {"t": True}
+    b = replace(b, initial={"t": True})
     assert codes(validate_model(b)) == [E_SYNTAX]
 
 
 def test_schedule_targets():
     b = clean_bundle()
-    b.schedule = (Injection(1, "c", "x"),)
+    b = replace(b, schedule=(Injection(1, "c", "x"),))
     assert codes(validate_model(b)) == [E_UNRESOLVED_REF]
-    b.schedule = (Injection(0, "env", "x"),)
+    b = replace(b, schedule=(Injection(0, "env", "x"),))
     assert codes(validate_model(b)) == [E_SYNTAX]
 
 
@@ -351,6 +352,9 @@ def test_branching_flows_rejected():
     with pytest.raises(TmError) as err:
         region_paths(m, e)
     assert err.value.code == E_REGION_FLOWS
+    with pytest.raises(TmError) as err:
+        compile(ModelBundle(m, (e,)))
+    assert err.value.code == E_REGION_FLOWS
 
 
 def test_cyclic_flows_rejected():
@@ -366,9 +370,16 @@ def test_cyclic_flows_rejected():
 
 # --- bundle helpers ----------------------------------------------------------
 
-def test_priority_order_appends_unlisted():
+def test_model_and_bundle_are_frozen():
     b = clean_bundle()
-    b.priority = ("work",)
+    with pytest.raises(FrozenInstanceError):
+        b.priority = ("work", "arrive", "leave")
+    with pytest.raises(FrozenInstanceError):
+        b.model.flows = ()
+
+
+def test_priority_order_appends_unlisted():
+    b = replace(clean_bundle(), priority=("work",))
     assert b.priority_order() == ("work", "arrive", "leave")
 
 
@@ -379,8 +390,7 @@ def test_event_label_and_flags():
 
 
 def test_canonicalize_sorts_and_completes():
-    b = clean_bundle()
-    b.priority = ("work",)
+    b = replace(clean_bundle(), priority=("work",))
     c = canonicalize(b)
     assert c.priority == ("work", "arrive", "leave")
     assert [e.id for e in c.events] == sorted(e.id for e in b.events)
