@@ -43,24 +43,6 @@ from .fsmbridge import (
 from .model import SEV_ERROR, TmError
 
 
-class UnreadableInput(Exception):
-    """An input file that is not UTF-8 text."""
-
-
-def _read(path: str) -> str:
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        before = data[:err.start].decode("utf-8")
-        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
-        raise UnreadableInput(f"{path}:{line}:{col}: not UTF-8 text (byte "
-                              f"0x{data[err.start]:02x}: {err.reason})") from None
-    # line ends as text mode reads them
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
 def _emit(text: str, out) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
@@ -70,7 +52,7 @@ def _emit(text: str, out) -> None:
 
 
 def _load_bundle(path: str):
-    result = dsl.parse(_read(path), file=path)
+    result = dsl.parse(dsl.read_text(path), file=path)
     for d in result.diagnostics:
         print(d, file=sys.stderr)
     return result.bundle
@@ -131,7 +113,7 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_import_fsm(args) -> int:
-    result = parse_fsm(_read(args.machine), file=args.machine)
+    result = parse_fsm(dsl.read_text(args.machine), file=args.machine)
     for d in result.diagnostics:
         print(d, file=sys.stderr)
     if result.spec is None:
@@ -141,7 +123,7 @@ def cmd_import_fsm(args) -> int:
 
 
 def cmd_project(args) -> int:
-    result = parse_fsm(_read(args.machine), file=args.machine)
+    result = parse_fsm(dsl.read_text(args.machine), file=args.machine)
     for d in result.diagnostics:
         print(d, file=sys.stderr)
     if result.spec is None:
@@ -149,7 +131,8 @@ def cmd_project(args) -> int:
     bundle = _load_bundle(args.model)
     if bundle is None:
         return 1
-    mapping = parse_state_mapping(_read(args.mapping), file=args.mapping)
+    mapping = parse_state_mapping(dsl.read_text(args.mapping),
+                                  file=args.mapping)
     sys.stdout.write(format_projection(
         project_states(result.spec, bundle, mapping)))
     return 0
@@ -159,7 +142,7 @@ def cmd_conform(args) -> int:
     bundle = _load_bundle(args.model)
     if bundle is None:
         return 1
-    trace = parse_trace_records(_read(args.trace))
+    trace = parse_trace_records(dsl.read_text(args.trace))
     violations = check_conformance(trace, behavior_graph(bundle))
     for v in violations:
         print(v)
@@ -243,7 +226,7 @@ def main(argv=None) -> int:
     except TmError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (OSError, UnreadableInput) as err:
+    except (OSError, dsl.UnreadableInput) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -458,9 +458,40 @@ def parse(text: str, file: str = "<input>") -> ParseResult:
     return ParseResult(bundle, diags)
 
 
+class UnreadableInput(Exception):
+    """An input file that is not UTF-8 text; `diagnostic` places the
+    first bad byte."""
+
+    def __init__(self, diagnostic: Diagnostic):
+        d = diagnostic
+        super().__init__(f"{d.file}:{d.line}:{d.col}: {d.message}")
+        self.diagnostic = diagnostic
+
+
+def read_text(path) -> str:
+    """A file's UTF-8 text with line ends as text mode reads them.
+    Raises OSError, or UnreadableInput when the bytes are not UTF-8."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        before = data[:err.start].decode("utf-8")
+        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise UnreadableInput(Diagnostic(
+            str(path), line, col, E_SYNTAX, f"not UTF-8 text (byte "
+            f"0x{data[err.start]:02x}: {err.reason})")) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_file(path) -> ParseResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read(), str(path))
+    """`parse` on a file's text; bytes that are not UTF-8 give one
+    positioned E_SYNTAX diagnostic."""
+    try:
+        text = read_text(path)
+    except UnreadableInput as err:
+        return ParseResult(None, [err.diagnostic])
+    return parse(text, str(path))
 
 
 # ---------------------------------------------------------------------------

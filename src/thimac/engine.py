@@ -6,10 +6,13 @@ and the pending event instances for the next tick.  Each step:
 1. applies the injections scheduled for the new tick (a token lands at
    the target's receive action when it has one, else at release) and
    pends every event whose region touches the target thimac;
-2. takes a start-of-tick snapshot and resolves each pending instance
-   against it, walking them in priority order: an instance that fails
-   its guards or cannot bind tokens lapses, one whose writes overlap an
-   earlier firing this tick defers to the next tick, and the rest fire;
+2. resolves each pending instance, in priority order, against the start
+   of the tick: guards read the stores of the previous configuration and
+   binding reads the token placements after injection.  An instance that
+   fails its guards or cannot bind tokens lapses, one whose writes
+   overlap an earlier firing this tick defers to the next tick, and the
+   rest fire; `enabled_events` runs this same opening and stops short of
+   conflicts and firing;
 3. firing moves the bound tokens (flow paths shift every path's token
    to its sink; progression advances one token between the stages of a
    single thimac), then applies the induced triggers in canonical order
@@ -37,6 +40,8 @@ timer still counting.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -138,66 +143,32 @@ class TraceEntry:
 
 
 # ---------------------------------------------------------------------------
-# Guards and views
+# Guards and placements
 # ---------------------------------------------------------------------------
 
 
-class _View:
-    """Read access to stores and token positions, either a start-of-tick
-    snapshot or the live mid-tick configuration."""
-
-    def __init__(self, cfg: Configuration, frozen: bool):
-        self.frozen = frozen
-        if frozen:
-            self.counters = dict(cfg.counters)
-            self.flags = dict(cfg.flags)
-            self.expired = {k: v.expired for k, v in cfg.timers.items()}
-            self.places = {label: (tok.thimac, tok.stage, tok.seq)
-                           for label, tok in cfg.tokens.items()
-                           if tok.alive}
-        else:
-            self.cfg = cfg
-
-    def counter(self, tid):
-        return self.counters[tid] if self.frozen else self.cfg.counters[tid]
-
-    def flag(self, tid):
-        return self.flags[tid] if self.frozen else self.cfg.flags[tid]
-
-    def timer_expired(self, tid):
-        if self.frozen:
-            return self.expired[tid]
-        return self.cfg.timers[tid].expired
-
-    def placements(self):
-        if self.frozen:
-            return self.places
-        return {label: (tok.thimac, tok.stage, tok.seq)
-                for label, tok in self.cfg.tokens.items() if tok.alive}
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _eval_guard(guard, view: _View) -> bool:
+def _eval_guard(guard, stores: Configuration) -> bool:
     for atom in guard:
         if isinstance(atom, CounterCmp):
-            value = view.counter(atom.counter)
-            ok = {
-                "=": value == atom.value,
-                "!=": value != atom.value,
-                "<": value < atom.value,
-                "<=": value <= atom.value,
-                ">": value > atom.value,
-                ">=": value >= atom.value,
-            }[atom.op]
-            if not ok:
+            if not _COMPARE[atom.op](stores.counters[atom.counter], atom.value):
                 return False
         elif isinstance(atom, FlagTest):
-            value = view.flag(atom.flag)
-            if value == atom.negated:
+            if stores.flags[atom.flag] == atom.negated:
                 return False
         elif isinstance(atom, TimerExpired):
-            if not view.timer_expired(atom.timer):
+            if not stores.timers[atom.timer].expired:
                 return False
     return True
+
+
+def _placements(cfg: Configuration) -> dict:
+    """Label -> (thimac, stage, seq) for every token still in the machine."""
+    return {label: (tok.thimac, tok.stage, tok.seq)
+            for label, tok in cfg.tokens.items() if tok.alive}
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +183,7 @@ class _Binding:
     info: EventInfo
     subject: Optional[str]          # recorded in the trace
     moves: tuple                    # (label, path) pairs for flow events
-    write_set: frozenset
+    write_set: frozenset            # ("store"|"token"|"proc", id) keys
 
 
 def _pick(candidates, deepest: bool):
@@ -226,14 +197,15 @@ def _pick(candidates, deepest: bool):
                key=lambda c: (sign * STAGE_DEPTH[c[1]], c[2]))[0]
 
 
-def _resolve(prog: Program, eid: str, subj, view: _View):
-    """Resolve one pending instance against a view; None when the event
-    cannot fire (failed guards, missing tokens, occupied stage)."""
+def _resolve(prog: Program, eid: str, subj, stores: Configuration,
+             places: dict):
+    """Resolve one pending instance against the guards' stores and the
+    token placements; None when the event cannot fire (failed guards,
+    missing tokens, occupied stage)."""
     info = prog.info[eid]
     for guard in info.gates:
-        if not _eval_guard(guard, view):
+        if not _eval_guard(guard, stores):
             return None
-    places = view.placements()
 
     if info.mode == SubjectMode.SUBJECTLESS:
         return _Binding(info, subj, (), info.writes)
@@ -262,7 +234,8 @@ def _resolve(prog: Program, eid: str, subj, view: _View):
                 return None
             bound.add(stim)
             moves.append((stim, path))
-        return _Binding(info, primary, tuple(moves), info.writes | bound)
+        return _Binding(info, primary, tuple(moves),
+                        info.writes | {("token", label) for label in bound})
 
     # progression
     tid = info.progress_thimac
@@ -286,7 +259,7 @@ def _resolve(prog: Program, eid: str, subj, view: _View):
         for label, (t, s, _) in places.items():
             if t == tid and s == ActionKind.PROCESS and label != chosen:
                 return None
-    writes = info.writes | {chosen}
+    writes = info.writes | {("token", chosen)}
     if enters:
         writes |= {("proc", tid)}
     return _Binding(info, chosen, (), writes)
@@ -299,11 +272,10 @@ def _resolve(prog: Program, eid: str, subj, view: _View):
 
 def _apply_triggers(prog: Program, info: EventInfo, cfg: Configuration,
                     initial: dict):
-    live = _View(cfg, frozen=False)
     for tr in info.apply_order:
         if tr.effect is None:
             continue
-        if not _eval_guard(tr.guard, live):
+        if not _eval_guard(tr.guard, cfg):
             continue
         target = tr.dst.thimac
         kind = prog.thimacs[target].kind
@@ -357,12 +329,12 @@ def _fire(prog: Program, initial: dict, eid: str, binding: _Binding,
             if succ_id in cofired:
                 continue
             cofired.add(succ_id)
-            live = _View(cfg, frozen=False)
-            b2 = _resolve(prog, succ_id, context, live)
+            places = _placements(cfg)
+            b2 = _resolve(prog, succ_id, context, cfg, places)
             if b2 is None and context is not None:
                 # a co-fire may rebind mid-tick when the handed-down
                 # subject no longer fits
-                b2 = _resolve(prog, succ_id, None, live)
+                b2 = _resolve(prog, succ_id, None, cfg, places)
             if b2 is not None:
                 _fire(prog, initial, succ_id, b2, cfg, fired, write_sets,
                       cofired)
@@ -411,29 +383,34 @@ def _inject(prog: Program, schedule, cfg: Configuration, tick: int):
             cfg.pending.add((eid, None))
 
 
-def _in_priority_order(prog: Program, pending):
+def _open_tick(bundle: ModelBundle, config: Configuration):
+    """Start the tick after `config`: inject its tokens, then take every
+    pending instance in priority order and resolve it against the start
+    of the tick, that is the stores of `config` (a step works on a copy,
+    and injection moves no store) and the placements after injection.
+    Returns the program, the working copy with nothing left pending, and
+    (event, pended subject, binding or None) per instance."""
+    prog = compile(bundle)
+    cfg = config.copy()
+    cfg.tick += 1
+    _inject(prog, bundle.schedule, cfg, cfg.tick)
+    places = _placements(cfg)
     last = len(prog.priority)
-    return sorted(pending, key=lambda entry: (prog.priority.get(entry[0], last),
-                                              entry[1] or ""))
+    pending = sorted(cfg.pending, key=lambda entry: (
+        prog.priority.get(entry[0], last), entry[1] or ""))
+    cfg.pending = set()
+    return prog, cfg, [(eid, subj, _resolve(prog, eid, subj, config, places))
+                       for eid, subj in pending]
 
 
 def step(bundle: ModelBundle, config: Configuration):
     """Execute one tick; returns (new configuration, trace entry)."""
-    prog = compile(bundle)
-    cfg = config.copy()
-    tick = cfg.tick + 1
-    cfg.tick = tick
-
-    _inject(prog, bundle.schedule, cfg, tick)
-    snapshot = _View(cfg, frozen=True)
-
-    entries = _in_priority_order(prog, cfg.pending)
-    cfg.pending = set()
+    prog, cfg, entries = _open_tick(bundle, config)
+    tick = cfg.tick
     fired = []
     write_sets = []
     cofired = set()
-    for eid, subj in entries:
-        binding = _resolve(prog, eid, subj, snapshot)
+    for eid, subj, binding in entries:
         if binding is None:
             continue
         if any(binding.write_set & ws for ws in write_sets):
@@ -497,16 +474,8 @@ def enabled_events(bundle: ModelBundle, config: Configuration):
     """Instances that could fire in the upcoming tick, in priority
     order, with the subjects they would bind.  Includes the injections
     scheduled for that tick; ignores conflicts."""
-    prog = compile(bundle)
-    cfg = config.copy()
-    _inject(prog, bundle.schedule, cfg, cfg.tick + 1)
-    snapshot = _View(cfg, frozen=True)
-    out = []
-    for eid, subj in _in_priority_order(prog, cfg.pending):
-        binding = _resolve(prog, eid, subj, snapshot)
-        if binding is not None:
-            out.append((eid, binding.subject))
-    return out
+    return [(eid, b.subject) for eid, _subj, b in _open_tick(bundle, config)[2]
+            if b is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -549,23 +518,35 @@ def format_trace_records(trace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# a complete subject as format_trace_records quotes it
+_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
 def parse_trace_records(text: str):
     """Inverse of format_trace_records; ticks without firings are not
-    reconstructed."""
+    reconstructed.  Raises TmError (E_SYNTAX) naming the line of the
+    first malformed record."""
     by_tick = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
+        where = f"trace record line {lineno}"
         if len(parts) != 4:
-            raise TmError(E_SYNTAX,
-                          f"trace record line {lineno} needs 4 fields")
+            raise TmError(E_SYNTAX, f"{where} needs 4 fields")
         tick_text, event, subject_text, bk = parts
         try:
             tick = int(tick_text)
         except ValueError:
-            raise TmError(E_SYNTAX,
-                          f"trace record line {lineno}: bad tick {tick_text!r}")
+            raise TmError(E_SYNTAX, f"{where}: bad tick {tick_text!r}")
+        if not event:
+            raise TmError(E_SYNTAX, f"{where}: empty event")
+        if subject_text != "-" and not _QUOTED.fullmatch(subject_text):
+            raise TmError(E_SYNTAX, f"{where}: subject {subject_text!r} is "
+                                    f"neither - nor a quoted string")
+        if bk not in ("0", "1"):
+            raise TmError(E_SYNTAX, f"{where}: bookkeeping {bk!r} is not "
+                                    f"0 or 1")
         subject = None if subject_text == "-" else _unescape(subject_text)
         by_tick.setdefault(tick, []).append(
             FiredEvent(event, subject, bk == "1"))

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .dsl import UnreadableInput, read_text
 from .model import (
     ActionKind,
     ActionRef,
@@ -167,8 +168,13 @@ def parse_fsm(text: str, file: str = "<fsm>") -> FsmParseResult:
 
 
 def parse_fsm_file(path) -> FsmParseResult:
-    with open(path, encoding="utf-8") as handle:
-        return parse_fsm(handle.read(), file=str(path))
+    """`parse_fsm` on a file's text; bytes that are not UTF-8 give one
+    positioned E_SYNTAX diagnostic."""
+    try:
+        text = read_text(path)
+    except UnreadableInput as err:
+        return FsmParseResult(None, (err.diagnostic,))
+    return parse_fsm(text, file=str(path))
 
 
 # ---------------------------------------------------------------------------

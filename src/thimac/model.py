@@ -294,13 +294,6 @@ class ModelBundle:
         rest = [e.id for e in self.events if e.id not in seen]
         return tuple(listed + rest)
 
-    def successors(self, event_id: str) -> tuple:
-        return self._successors.get(event_id, ())
-
-    @cached_property
-    def _successors(self) -> dict:
-        return successor_table(self.behavior)
-
     @cached_property
     def _program(self) -> "Program":
         # bundles made by dataclasses.replace share the model, events,
@@ -527,8 +520,9 @@ class EventInfo:
     """What firing one event involves, independent of any run: region,
     subject mode, flow paths (primary first; None with a `reason` when
     malformed), progression target, gating guards, trigger firing order,
-    and the flags and timers it writes (counters commute, so are left
-    out).  `model.event_info(event)` computes it once per model."""
+    and the flags and timers it writes as ("store", id) keys (counters
+    commute, so are left out).  `model.event_info(event)` computes it
+    once per model."""
 
     def __init__(self, model: StaticModel, event: Event):
         tmap = model._by_id
@@ -581,7 +575,7 @@ class EventInfo:
             if t.effect in (Effect.SET, Effect.CLEAR) or (
                     t.effect in (Effect.RESET, Effect.START)
                     and target is not None and target.kind == ThimacKind.TIMER):
-                writes.add(t.dst.thimac)
+                writes.add(("store", t.dst.thimac))
         self.writes = frozenset(writes)
 
 
@@ -602,7 +596,7 @@ class Program:
         self.thimacs = model._by_id
         self.events = bundle.event_map()
         self.priority = {eid: i for i, eid in enumerate(bundle.priority_order())}
-        self.successors = bundle._successors
+        self.successors = successor_table(bundle.behavior)
         self.info = {}
         self.injection_events: dict = {}
         self.expiry_events: dict = {}

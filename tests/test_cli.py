@@ -198,6 +198,16 @@ def test_conform_unknown_event(tmp_path, capsys):
         "error: E_UNRESOLVED_REF trace names unknown event 'E99'\n")
 
 
+def test_conform_malformed_record(tmp_path, capsys):
+    path = tmp_path / "trace.txt"
+    path.write_text('1\tE1\tS1\t0\n')
+    assert main(["conform", ASSEMBLY, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: E_SYNTAX trace record line 1: subject "
+                            "'S1' is neither - nor a quoted string\n")
+
+
 # --- export-dot -----------------------------------------------------------------
 
 def test_export_dot_layers(capsys):

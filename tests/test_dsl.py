@@ -18,7 +18,7 @@ from thimac import (
     E_UNRESOLVED_REF,
     SEV_WARNING,
 )
-from thimac.dsl import parse, serialize
+from thimac.dsl import parse, parse_file, serialize
 
 
 MINI = """
@@ -128,6 +128,15 @@ def test_syntax_error_position():
     # "widget" starts at line 2 column 15
     assert (d.line, d.col) == (2, 15)
     assert d.code == E_SYNTAX
+
+
+def test_parse_file_reports_non_utf8_bytes(tmp_path):
+    bad = tmp_path / "bad.tm"
+    bad.write_bytes(b"model m\n  \xff\n")
+    result = parse_file(bad)
+    assert not result.ok
+    assert [str(d) for d in result.diagnostics] == [
+        f"{bad}:2:3: E_SYNTAX not UTF-8 text (byte 0xff: invalid start byte)"]
 
 
 def test_stray_character():

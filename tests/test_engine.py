@@ -1,6 +1,7 @@
 """Execution semantics: enablement, conflicts, movement, timers, traces."""
 
 import dataclasses
+import operator
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from thimac import (
     TriggerEdge,
     E_COUNTER_RANGE,
     E_DUP_ID,
+    E_SYNTAX,
     E_UNRESOLVED_REF,
 )
 from thimac import model
@@ -319,6 +321,51 @@ def test_deferred_instance_keeps_pended_subject():
     assert cfg.pending == {("lower", None)}
 
 
+@pytest.mark.parametrize("label", ["g", "f"])
+def test_token_named_like_a_flag_does_not_conflict(label):
+    # A moves the token, B sets flag f: disjoint writes whatever the
+    # token is called
+    b = bundle(
+        thimacs=[source("env"), sink("out"), flag("f")],
+        flows=[FlowEdge(ref("env.release"), ref("env.transfer")),
+               FlowEdge(ref("env.transfer"), ref("out.receive"))],
+        triggers=[TriggerEdge(ref("env.transfer"), ref("f.create"),
+                              Effect.SET, ())],
+        events=[Event("A", frozenset({ref("env.release"), ref("env.transfer"),
+                                      ref("out.receive")})),
+                Event("B", frozenset({ref("env.transfer"), ref("f.create")}))],
+        priority=["A", "B"],
+        schedule=[Injection(1, "env", label)],
+    )
+    assert format_trace(run(b)[1]) == f"tick 1: A/{label} B\n"
+
+
+# --- guards -------------------------------------------------------------------
+
+PY_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@pytest.mark.parametrize("op", sorted(PY_COMPARE))
+@pytest.mark.parametrize("value", [1, 2, 3])
+def test_counter_guard_follows_comparison(op, value):
+    b = bundle(
+        thimacs=[source("env"), machine("M"), counter("c", hi=5, init=value)],
+        flows=[FlowEdge(ref("env.release"), ref("env.transfer")),
+               FlowEdge(ref("env.transfer"), ref("M.receive"))],
+        triggers=[TriggerEdge(ref("M.receive"), ref("c.create"), Effect.INC,
+                              (CounterCmp("c", op, 2),))],
+        events=[Event("arrive", frozenset({ref("env.release"),
+                                           ref("env.transfer"),
+                                           ref("M.receive"),
+                                           ref("c.create")}))],
+        schedule=[Injection(1, "env", "t1")],
+    )
+    _cfg, entry = step(b, init(b))
+    expected = [("arrive", "t1")] if PY_COMPARE[op](value, 2) else []
+    assert fired_list(entry) == expected
+
+
 # --- timers -------------------------------------------------------------------
 
 def timer_bundle(duration=2, initial=None):
@@ -482,6 +529,22 @@ def test_trace_records_quote_subjects():
     text = format_trace_records(trace)
     assert text == '3\te\t"a \\"b\\""\t1\n'
     assert parse_trace_records(text) == trace
+
+
+@pytest.mark.parametrize("record, problem", [
+    ('1\tE1\tS1\t0', "subject 'S1'"),
+    ('1\tE1\t"S1\t0', "subject '\"S1'"),
+    ('1\tE1\t"S1"x\t0', "subject '\"S1\"x'"),
+    ('1\tE1\t"S1"\tyes', "bookkeeping 'yes'"),
+    ('1\tE1\t"S1"\t7', "bookkeeping '7'"),
+    ('1\t\t"S1"\t0', "empty event"),
+])
+def test_trace_records_reject_malformed_fields(record, problem):
+    text = '1\tE1\t"S1"\t0\n' + record + "\n"
+    with pytest.raises(TmError) as err:
+        parse_trace_records(text)
+    assert err.value.code == E_SYNTAX
+    assert err.value.message.startswith(f"trace record line 2: {problem}")
 
 
 def test_filter_displayed_keeps_marked_events():

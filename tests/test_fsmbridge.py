@@ -40,6 +40,15 @@ def door_spec():
     return result.spec
 
 
+def test_parse_fsm_file_reports_non_utf8_bytes(tmp_path):
+    bad = tmp_path / "bad.fsm"
+    bad.write_bytes(b"machine m\n\xff\n")
+    result = parse_fsm_file(bad)
+    assert not result.ok
+    assert [str(d) for d in result.diagnostics] == [
+        f"{bad}:2:1: E_SYNTAX not UTF-8 text (byte 0xff: invalid start byte)"]
+
+
 def oracle_walk(spec, stimuli):
     """Reference interpreter: a stimulus lands when the machine has
     settled (two ticks after the last move or the seed) and a matching
