@@ -51,21 +51,28 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _load_bundle(path: str):
-    result = dsl.parse(dsl.read_text(path), file=path)
+class _Rejected(Exception):
+    """An input with errors, already reported: the command exits 1."""
+
+
+def _load(parse, path: str):
+    """`parse` (a model or FSM reader) on a file, with its diagnostics
+    printed to stderr; raises _Rejected when they hold an error."""
+    result = parse(dsl.read_text(path), file=path)
     for d in result.diagnostics:
         print(d, file=sys.stderr)
-    return result.bundle
+    if not result.ok:
+        raise _Rejected()
+    return result
 
 
 def cmd_validate(args) -> int:
-    return 0 if _load_bundle(args.model) is not None else 1
+    _load(dsl.parse, args.model)
+    return 0
 
 
 def cmd_run(args) -> int:
-    bundle = _load_bundle(args.model)
-    if bundle is None:
-        return 1
+    bundle = _load(dsl.parse, args.model).bundle
     _cfg, trace = run(bundle, max_ticks=args.ticks)
     if args.displayed:
         trace = filter_displayed(bundle, trace)
@@ -101,9 +108,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    bundle = _load_bundle(args.model)
-    if bundle is None:
-        return 1
+    bundle = _load(dsl.parse, args.model).bundle
     covered, uncovered = event_coverage(bundle)
     print(f"covered: {len(covered)}")
     print(f"uncovered: {len(uncovered)}")
@@ -113,36 +118,24 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_import_fsm(args) -> int:
-    result = parse_fsm(dsl.read_text(args.machine), file=args.machine)
-    for d in result.diagnostics:
-        print(d, file=sys.stderr)
-    if result.spec is None:
-        return 1
-    _emit(dsl.serialize(fsm_to_tm(result.spec)), args.out)
+    spec = _load(parse_fsm, args.machine).spec
+    _emit(dsl.serialize(fsm_to_tm(spec)), args.out)
     return 0
 
 
 def cmd_project(args) -> int:
-    result = parse_fsm(dsl.read_text(args.machine), file=args.machine)
-    for d in result.diagnostics:
-        print(d, file=sys.stderr)
-    if result.spec is None:
-        return 1
-    bundle = _load_bundle(args.model)
-    if bundle is None:
-        return 1
+    spec = _load(parse_fsm, args.machine).spec
+    bundle = _load(dsl.parse, args.model).bundle
     mapping = parse_state_mapping(dsl.read_text(args.mapping),
                                   file=args.mapping)
     sys.stdout.write(format_projection(
-        project_states(result.spec, bundle, mapping)))
+        project_states(spec, bundle, mapping)))
     return 0
 
 
 def cmd_conform(args) -> int:
-    bundle = _load_bundle(args.model)
-    if bundle is None:
-        return 1
-    trace = parse_trace_records(dsl.read_text(args.trace))
+    bundle = _load(dsl.parse, args.model).bundle
+    trace = parse_trace_records(dsl.read_text(args.trace), file=args.trace)
     violations = check_conformance(trace, behavior_graph(bundle))
     for v in violations:
         print(v)
@@ -154,9 +147,7 @@ def cmd_conform(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    bundle = _load_bundle(args.model)
-    if bundle is None:
-        return 1
+    bundle = _load(dsl.parse, args.model).bundle
     _emit(export_dot(bundle, layer=args.layer), args.out)
     return 0
 
@@ -223,6 +214,8 @@ def main(argv=None) -> int:
     args.parser = parser
     try:
         return args.func(args)
+    except _Rejected:
+        return 1
     except TmError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

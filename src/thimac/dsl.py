@@ -15,12 +15,18 @@ any order:
     initial { B1.count = 2; M1.block = true; }
     schedule { at 1 inject env "S1"; }
 
-Comments run from `#` to end of line.  A reference is a dotted name
-whose last segment is an action kind; everything before it is the
-thimac id, which may itself contain dots.  Guards are conjunctions of
+Comments run from `#` to end of line.  Names (the model name, thimac
+and event ids) are identifiers: dot-separated segments, each a letter
+or `_` followed by letters, digits or `_` (`M1`, `B1.count`).  A
+reference is a dotted name whose last segment is an action kind;
+everything before it is the thimac id, which may itself contain dots,
+so no thimac id may end in an action name.  Guards are conjunctions of
 counter comparisons (`c < 3`), flag tests (`f`, `not f`), and timer
-expiry tests (`expired t`).  When a document omits `priority`, events
-fire in declaration order.
+expiry tests (`expired t`); `not` and `expired` are guard words, so no
+store may take either as its id.  When a document omits `priority`,
+events fire in declaration order.  The FSM and state-mapping formats
+(`thimac.fsmbridge`) and trace records (`thimac.engine`) read their
+names, references and strings with the readers here.
 
 `parse` returns a ParseResult; the bundle is present exactly when no
 error-severity diagnostics were produced.  `serialize` emits the
@@ -31,7 +37,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from itertools import groupby
+from typing import NamedTuple, Optional
 
 from .model import (
     ACTION_ORDER,
@@ -57,10 +64,14 @@ from .model import (
     validate_model,
 )
 
-_ACTION_NAMES = {a.value for a in ActionKind}
-_KIND_NAMES = {k.value for k in ThimacKind}
-_EFFECT_NAMES = {e.value for e in Effect}
+_ACTIONS = {a.value: a for a in ActionKind}
 
+# Words that open a guard atom; a store with one as its id could not be
+# named in a guard.
+GUARD_WORDS = frozenset({"not", "expired"})
+
+# Newlines occur only inside `ws`, which is how `_lex` counts lines; the
+# last alternative takes any character no token can start with.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[ \t\r\n]+)
@@ -78,13 +89,13 @@ _TOKEN_RE = re.compile(
   | (?P<comma>,)
   | (?P<semi>;)
   | (?P<colon>:)
+  | (?P<bad>(?s:.))
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -108,52 +119,82 @@ class ParseResult:
 def _lex(text: str, file: str):
     tokens = []
     diags = []
-    pos = 0
     line = 1
-    col = 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            diags.append(Diagnostic(file, line, col, E_SYNTAX,
-                                    f"unexpected character {text[pos]!r}"))
-            pos += 1
-            col += 1
-            continue
+    line_start = 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ws":
+            lexeme = m.group()
+            last_newline = lexeme.rfind("\n")
+            if last_newline >= 0:
+                line += lexeme.count("\n")
+                line_start = m.start() + last_newline + 1
+        elif kind == "bad":
+            diags.append(Diagnostic(file, line, m.start() - line_start + 1,
+                                    E_SYNTAX,
+                                    f"unexpected character {m.group()!r}"))
+        elif kind != "comment":
+            tokens.append(Token(kind, m.group(), line,
+                                m.start() - line_start + 1))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens, diags
 
 
+def lex_lines(text: str, file: str):
+    """The model format's tokens grouped by source line, without blank
+    and comment-only lines, plus the diagnostics for characters no
+    token can start with.  The line-based formats read their text so."""
+    tokens, diags = _lex(text, file)
+    lines = groupby(tokens[:-1], key=lambda tok: tok.line)
+    return [list(line) for _, line in lines], diags
+
+
+def is_identifier(name: str) -> bool:
+    """Whether `name` is one identifier token: the model name, thimac
+    ids and event ids must be."""
+    m = _TOKEN_RE.fullmatch(name)
+    return m is not None and m.lastgroup == "ident"
+
+
+def read_ref(name: str) -> Optional[ActionRef]:
+    """The action reference `thimac.action` that `name` spells, or None
+    when its last dotted segment is not an action name or nothing
+    precedes it."""
+    thimac, _, action = name.rpartition(".")
+    kind = _ACTIONS.get(action)
+    if kind is None or not thimac:
+        return None
+    return ActionRef(thimac, kind)
+
+
+def ends_in_action(name: str) -> bool:
+    """Whether `name`'s last dotted segment is an action name, which no
+    thimac id may have."""
+    return name in _ACTIONS or read_ref(name) is not None
+
+
+def read_string(text: str) -> Optional[str]:
+    """The value of `text` when it is one whole quoted string, else None."""
+    m = _TOKEN_RE.fullmatch(text)
+    if m is None or m.lastgroup != "string":
+        return None
+    return _unescape(text)
+
+
+_ESCAPES = {"n": "\n", "r": "\r", "t": "\t"}
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _unescape(text: str) -> str:
-    # strip quotes, undo \" \\ \n \t
-    body = text[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            out.append({"n": "\n", "t": "\t"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    # strip quotes, undo \" \\ \n \r \t; any other escaped character
+    # stands for itself
+    return _ESCAPED.sub(lambda m: _ESCAPES.get(m.group(1), m.group(1)),
+                        text[1:-1])
 
 
 def _escape(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') \
-                     .replace("\n", "\\n").replace("\t", "\\t") + '"'
+        .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t") + '"'
 
 
 class _Parser:
@@ -201,35 +242,36 @@ class _Parser:
             self.fail(tok, f"expected {word!r}, got {tok.text or 'end of file'!r}")
         return tok
 
-    def at_word(self, word: str) -> bool:
+    def eat(self, kind: str, text: Optional[str] = None) -> bool:
         tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def eat_word(self, word: str) -> bool:
-        if self.at_word(word):
+        if tok.kind == kind and text in (None, tok.text):
             self.next()
             return True
         return False
+
+    def expect_enum(self, enum, what: str, noun: str):
+        tok = self.expect("ident", what)
+        try:
+            return enum(tok.text)
+        except ValueError:
+            self.fail(tok, f"unknown {noun} {tok.text!r}")
 
     def expect_int(self, what: str) -> int:
         tok = self.expect("int", what)
         return int(tok.text)
 
-    def expect_ident(self, what: str) -> Token:
-        return self.expect("ident", what)
-
     def expect_ref(self, what: str = "an action reference") -> ActionRef:
         tok = self.expect("ident", what)
-        thimac, _, action = tok.text.rpartition(".")
-        if not thimac or action not in _ACTION_NAMES:
+        ref = read_ref(tok.text)
+        if ref is None:
             self.fail(tok, f"{tok.text!r} is not a dotted action reference")
-        return ActionRef(thimac, ActionKind(action))
+        return ref
 
     # --- declarations ---
 
     def parse_document(self):
         self.expect_word("model")
-        self.name = self.expect_ident("a model name").text
+        self.name = self.expect("ident", "a model name").text
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind != "ident":
@@ -246,38 +288,27 @@ class _Parser:
             }.get(tok.text)
             if handler is None:
                 self.fail(tok, f"unknown declaration {tok.text!r}")
-            handler()
+            handler(self.next())
 
-    def parse_thimac(self):
-        self.expect_word("thimac")
-        name_tok = self.expect_ident("a thimac id")
+    def parse_thimac(self, kw: Token):
+        name_tok = self.expect("ident", "a thimac id")
         tid = name_tok.text
-        last = tid.rpartition(".")[2]
-        if last in _ACTION_NAMES:
-            self.fail(name_tok,
-                      f"thimac id {tid!r} must not end in an action name")
         self.expect_word("kind")
-        kind_tok = self.expect_ident("a thimac kind")
-        if kind_tok.text not in _KIND_NAMES:
-            self.fail(kind_tok, f"unknown thimac kind {kind_tok.text!r}")
-        kind = ThimacKind(kind_tok.text)
+        kind = self.expect_enum(ThimacKind, "a thimac kind", "thimac kind")
         self.expect("lbrace", "'{'")
         actions = set()
         lo = hi = 0
         init = False if kind == ThimacKind.FLAG else 0
         duration = 0
         while self.peek().kind != "rbrace":
-            member = self.expect_ident("a thimac member")
+            member = self.expect("ident", "a thimac member")
             if member.text == "actions":
                 self.expect("colon", "':'")
                 while True:
-                    act = self.expect_ident("an action name")
-                    if act.text not in _ACTION_NAMES:
-                        self.fail(act, f"unknown action {act.text!r}")
-                    actions.add(ActionKind(act.text))
-                    if self.peek().kind != "comma":
+                    actions.add(self.expect_enum(ActionKind, "an action name",
+                                                 "action"))
+                    if not self.eat("comma"):
                         break
-                    self.next()
             elif member.text == "range":
                 lo = self.expect_int("a range lower bound")
                 self.expect("dotdot", "'..'")
@@ -285,7 +316,7 @@ class _Parser:
                 self.expect_word("init")
                 init = self.expect_int("an initial value")
             elif member.text == "init":
-                val = self.expect_ident("true or false")
+                val = self.expect("ident", "true or false")
                 if val.text not in ("true", "false"):
                     self.fail(val, f"expected true or false, got {val.text!r}")
                 init = val.text == "true"
@@ -298,8 +329,7 @@ class _Parser:
         self.thimacs.append(Thimac(tid, kind, frozenset(actions),
                                    lo, hi, init, duration))
 
-    def parse_flow(self):
-        kw = self.expect_word("flow")
+    def parse_flow(self, kw: Token):
         src = self.expect_ref()
         self.expect("arrow", "'->'")
         dst = self.expect_ref()
@@ -312,13 +342,11 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "ident":
                 self.fail(tok, "expected a guard atom")
-            if tok.text == "not":
-                self.next()
-                flag = self.expect_ident("a flag name")
+            if self.eat("ident", "not"):
+                flag = self.expect("ident", "a flag name")
                 atoms.append(FlagTest(flag.text, negated=True))
-            elif tok.text == "expired":
-                self.next()
-                timer = self.expect_ident("a timer name")
+            elif self.eat("ident", "expired"):
+                timer = self.expect("ident", "a timer name")
                 atoms.append(TimerExpired(timer.text))
             else:
                 name = self.next()
@@ -328,75 +356,64 @@ class _Parser:
                     atoms.append(CounterCmp(name.text, op, value))
                 else:
                     atoms.append(FlagTest(name.text))
-            if not self.eat_word("and"):
+            if not self.eat("ident", "and"):
                 break
         return tuple(atoms)
 
-    def parse_trigger(self):
-        kw = self.expect_word("trigger")
+    def parse_trigger(self, kw: Token):
         src = self.expect_ref()
         self.expect("arrow", "'->'")
         dst = self.expect_ref()
         effect = None
-        if self.eat_word("effect"):
-            eff = self.expect_ident("an effect name")
-            if eff.text not in _EFFECT_NAMES:
-                self.fail(eff, f"unknown effect {eff.text!r}")
-            effect = Effect(eff.text)
+        if self.eat("ident", "effect"):
+            effect = self.expect_enum(Effect, "an effect name", "effect")
         guard = ()
-        if self.eat_word("when"):
+        if self.eat("ident", "when"):
             guard = self.parse_guard()
         self.positions[("trigger", len(self.triggers))] = (kw.line, kw.col)
         self.triggers.append(TriggerEdge(src, dst, effect, guard))
 
-    def parse_event(self):
-        self.expect_word("event")
-        name_tok = self.expect_ident("an event id")
+    def parse_event(self, kw: Token):
+        name_tok = self.expect("ident", "an event id")
         label_tok = self.expect("string", "a label string")
-        bookkeeping = self.eat_word("bookkeeping")
-        displayed = self.eat_word("displayed")
+        bookkeeping = self.eat("ident", "bookkeeping")
+        displayed = self.eat("ident", "displayed")
         self.expect_word("region")
         self.expect("lbrace", "'{'")
         refs = set()
         while self.peek().kind != "rbrace":
             refs.add(self.expect_ref())
-            if self.peek().kind == "comma":
-                self.next()
+            self.eat("comma")
         self.expect("rbrace", "'}'")
         self.positions[("event", name_tok.text)] = (name_tok.line, name_tok.col)
         self.events.append(Event(name_tok.text, frozenset(refs),
                                  _unescape(label_tok.text), bookkeeping, displayed))
 
-    def parse_behavior(self):
-        self.expect_word("behavior")
+    def parse_behavior(self, kw: Token):
         self.expect("lbrace", "'{'")
         while self.peek().kind != "rbrace":
-            kw = self.peek()
-            src = self.expect_ident("an event id")
+            src = self.expect("ident", "an event id")
             self.expect("arrow", "'->'")
-            dst = self.expect_ident("an event id")
+            dst = self.expect("ident", "an event id")
             self.expect("semi", "';'")
-            self.positions[("behavior", len(self.behavior))] = (kw.line, kw.col)
+            self.positions[("behavior", len(self.behavior))] = (src.line, src.col)
             self.behavior.append((src.text, dst.text))
         self.expect("rbrace", "'}'")
 
-    def parse_priority(self):
-        self.expect_word("priority")
+    def parse_priority(self, kw: Token):
         self.expect("lbracket", "'['")
         self.saw_priority = True
         while self.peek().kind != "rbracket":
-            tok = self.expect_ident("an event id")
+            tok = self.expect("ident", "an event id")
             self.positions[("priority", len(self.priority))] = (tok.line, tok.col)
             self.priority.append(tok.text)
-            if self.peek().kind == "comma":
-                self.next()
+            self.eat("comma")
         self.expect("rbracket", "']'")
 
-    def parse_initial(self):
-        self.expect_word("initial")
+    def parse_initial(self, kw: Token):
         self.expect("lbrace", "'{'")
         while self.peek().kind != "rbrace":
-            name_tok = self.expect_ident("a store id")
+            name_tok = self.expect("ident", "a store id")
             eq = self.expect("cmp", "'='")
             if eq.text != "=":
                 self.fail(eq, f"expected '=', got {eq.text!r}")
@@ -412,17 +429,16 @@ class _Parser:
             self.initial[name_tok.text] = value
         self.expect("rbrace", "'}'")
 
-    def parse_schedule(self):
-        self.expect_word("schedule")
+    def parse_schedule(self, kw: Token):
         self.expect("lbrace", "'{'")
         while self.peek().kind != "rbrace":
-            kw = self.expect_word("at")
+            at = self.expect_word("at")
             tick = self.expect_int("a tick number")
             self.expect_word("inject")
-            target = self.expect_ident("a thimac id")
+            target = self.expect("ident", "a thimac id")
             label = self.expect("string", "a token label")
             self.expect("semi", "';'")
-            self.positions[("schedule", len(self.schedule))] = (kw.line, kw.col)
+            self.positions[("schedule", len(self.schedule))] = (at.line, at.col)
             self.schedule.append(Injection(tick, target.text,
                                            _unescape(label.text)))
         self.expect("rbrace", "'}'")

@@ -41,11 +41,10 @@ timer still counting.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .dsl import _escape, _unescape
+from .dsl import _escape, read_string
 from .model import (
     STAGE_DEPTH,
     STORE_KINDS,
@@ -518,36 +517,36 @@ def format_trace_records(trace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# a complete subject as format_trace_records quotes it
-_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
-
-
-def parse_trace_records(text: str):
+def parse_trace_records(text: str, file: str = "<trace>"):
     """Inverse of format_trace_records; ticks without firings are not
-    reconstructed.  Raises TmError (E_SYNTAX) naming the line of the
-    first malformed record."""
+    reconstructed.  Records end at newlines only, since a quoted subject
+    may hold any other line separator.  Raises TmError (E_SYNTAX) at
+    FILE:LINE:COL of the first malformed field."""
     by_tick = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
-        where = f"trace record line {lineno}"
+
+        def bad(field, problem):
+            col = sum(len(p) + 1 for p in parts[:field]) + 1
+            raise TmError(E_SYNTAX, f"{file}:{lineno}:{col}: {problem}")
+
         if len(parts) != 4:
-            raise TmError(E_SYNTAX, f"{where} needs 4 fields")
+            bad(0, "record needs 4 tab-separated fields")
         tick_text, event, subject_text, bk = parts
         try:
             tick = int(tick_text)
         except ValueError:
-            raise TmError(E_SYNTAX, f"{where}: bad tick {tick_text!r}")
+            bad(0, f"bad tick {tick_text!r}")
         if not event:
-            raise TmError(E_SYNTAX, f"{where}: empty event")
-        if subject_text != "-" and not _QUOTED.fullmatch(subject_text):
-            raise TmError(E_SYNTAX, f"{where}: subject {subject_text!r} is "
-                                    f"neither - nor a quoted string")
+            bad(1, "empty event")
+        subject = None if subject_text == "-" else read_string(subject_text)
+        if subject is None and subject_text != "-":
+            bad(2, f"subject {subject_text!r} is neither - nor a quoted "
+                   f"string")
         if bk not in ("0", "1"):
-            raise TmError(E_SYNTAX, f"{where}: bookkeeping {bk!r} is not "
-                                    f"0 or 1")
-        subject = None if subject_text == "-" else _unescape(subject_text)
+            bad(3, f"bookkeeping {bk!r} is not 0 or 1")
         by_tick.setdefault(tick, []).append(
             FiredEvent(event, subject, bk == "1"))
     return [TraceEntry(tick, tuple(fired))

@@ -32,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .dsl import UnreadableInput, read_text
+from .dsl import (UnreadableInput, ends_in_action, lex_lines, read_ref,
+                  read_text)
 from .model import (
     ActionKind,
     ActionRef,
@@ -56,8 +57,6 @@ from .model import (
     has_errors,
     validate_model,
 )
-
-_ACTION_NAMES = frozenset(a.value for a in ActionKind)
 
 _FIVE = frozenset(ActionKind)
 _SOURCE_ACTS = frozenset({ActionKind.RELEASE, ActionKind.TRANSFER})
@@ -90,81 +89,83 @@ class FsmParseResult:
         return self.spec is not None
 
 
+# The words after each directive: None marks a name, a string the literal
+# word; a `trans` line may stop after its label.
+_SHAPES = {
+    "fsm": ("fsm NAME", (None,)),
+    "state": ("state NAME", (None,)),
+    "initial": ("initial NAME", (None,)),
+    "trans": ("trans FROM -> TO on LABEL [when FLAG]",
+              (None, "->", None, "on", None, "when", None)),
+}
+
+
+def _misfit(head, words, shape):
+    """The first of a line's `words` that breaks `shape`, or an empty
+    token just past the line when it ends early; None when it fits."""
+    last = (words or [head])[-1]
+    end = last._replace(kind="eol", text="", col=last.col + len(last.text))
+    for tok, want in zip(words + [end], shape + ("",)):
+        fits = tok.kind == "ident" if want is None else tok.text == want
+        if not fits:
+            return tok
+    return None
+
+
 def parse_fsm(text: str, file: str = "<fsm>") -> FsmParseResult:
-    """Line-based parse; returns an FsmSpec or positioned diagnostics."""
-    diags = []
-    name = None
-    states = []
-    initial = None
+    """Line-based parse; returns an FsmSpec or positioned diagnostics.
+    Names are model identifiers, and comments and whitespace follow the
+    model format."""
+    lines, diags = lex_lines(text, file)
+    once = {}       # the fsm and initial lines' name tokens
+    states = {}
     raw_transitions = []
 
-    def bad(lineno, message):
-        diags.append(Diagnostic(file, lineno, 1, E_SYNTAX, message))
+    def bad(tok, message, code=E_SYNTAX):
+        diags.append(Diagnostic(file, tok.line, tok.col, code, message))
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+    for head, *words in lines:
+        usage, shape = _SHAPES.get(head.text, (None, ()))
+        if usage is None:
+            bad(head, f"unknown directive {head.text!r}")
             continue
-        words = stripped.split()
-        head = words[0]
-        if head == "fsm":
-            if len(words) != 2:
-                bad(lineno, "expected: fsm NAME")
-            elif name is not None:
-                bad(lineno, "fsm declared twice")
-            else:
-                name = words[1]
-        elif head == "state":
-            if len(words) != 2:
-                bad(lineno, "expected: state NAME")
-            elif words[1] in states:
-                bad(lineno, f"state {words[1]} declared twice")
-            else:
-                states.append(words[1])
-        elif head == "initial":
-            if len(words) != 2:
-                bad(lineno, "expected: initial NAME")
-            elif initial is not None:
-                bad(lineno, "initial declared twice")
-            else:
-                initial = (words[1], lineno)
-        elif head == "trans":
-            if (len(words) not in (6, 8) or words[2] != "->"
-                    or words[4] != "on"
-                    or (len(words) == 8 and words[6] != "when")):
-                bad(lineno, "expected: trans FROM -> TO on LABEL"
-                            " [when FLAG]")
-            else:
-                guard = words[7] if len(words) == 8 else None
-                raw_transitions.append(
-                    (words[1], words[3], words[5], guard, lineno))
+        misfit = _misfit(head, words, shape if len(words) > 5 else shape[:5])
+        if misfit is not None:
+            bad(misfit, f"expected: {usage}")
+        elif head.text == "trans":
+            raw_transitions.append(words)
+        elif head.text == "state":
+            if words[0].text in states:
+                bad(words[0], f"state {words[0].text} declared twice")
+            states[words[0].text] = None
+        elif head.text in once:
+            bad(head, f"{head.text} declared twice")
         else:
-            bad(lineno, f"unknown directive {head!r}")
+            once[head.text] = words[0]
 
-    if name is None and not diags:
-        diags.append(Diagnostic(file, 1, 1, E_SYNTAX,
-                                "missing fsm header"))
-    known = set(states)
+    if "fsm" not in once and not diags:
+        diags.append(Diagnostic(file, 1, 1, E_SYNTAX, "missing fsm header"))
     transitions = []
-    for src, dst, label, guard, lineno in raw_transitions:
-        missing = [s for s in (src, dst) if s not in known]
+    for src, _arrow, dst, _on, label, *when in raw_transitions:
+        missing = [s for s in (src, dst) if s.text not in states]
         for state in missing:
-            diags.append(Diagnostic(file, lineno, 1, E_UNRESOLVED_REF,
-                                    f"unknown state {state}"))
+            bad(state, f"unknown state {state.text}", E_UNRESOLVED_REF)
         if not missing:
-            transitions.append(FsmTransition(src, dst, label, guard))
-    if initial is not None and initial[0] not in known:
-        diags.append(Diagnostic(file, initial[1], 1, E_UNRESOLVED_REF,
-                                f"unknown state {initial[0]}"))
+            guard = when[1].text if when else None
+            transitions.append(FsmTransition(src.text, dst.text, label.text,
+                                             guard))
+    initial = once.get("initial")
+    if initial is not None and initial.text not in states:
+        bad(initial, f"unknown state {initial.text}", E_UNRESOLVED_REF)
         initial = None
     if initial is None and not has_errors(diags):
         diags.append(Diagnostic(file, 1, 1, E_NO_INITIAL,
                                 "no initial state declared"))
     if has_errors(diags):
         return FsmParseResult(None, tuple(diags))
-    return FsmParseResult(
-        FsmSpec(name, tuple(states), initial[0], tuple(transitions)),
-        tuple(diags))
+    return FsmParseResult(FsmSpec(once["fsm"].text, tuple(states),
+                                  initial.text, tuple(transitions)),
+                          tuple(diags))
 
 
 def parse_fsm_file(path) -> FsmParseResult:
@@ -184,8 +185,7 @@ def parse_fsm_file(path) -> FsmParseResult:
 
 def _safe(tid: str) -> str:
     # a trailing segment that reads as an action would wreck dotted refs
-    last = tid.rpartition(".")[2]
-    return tid + "_" if last in _ACTION_NAMES else tid
+    return tid + "_" if ends_in_action(tid) else tid
 
 
 def _gerund(label: str) -> str:
@@ -365,31 +365,34 @@ def project_states(spec: FsmSpec, bundle: ModelBundle,
 
 
 def parse_state_mapping(text: str, file: str = "<mapping>"):
-    """`State = thimac.action, thimac.action` lines into a mapping."""
+    """`State = thimac.action, thimac.action` lines into a mapping.
+    Raises TmError (E_SYNTAX) at FILE:LINE:COL of the first problem."""
+    lines, diags = lex_lines(text, file)
+
+    def bad(tok, message):
+        raise TmError(E_SYNTAX, f"{file}:{tok.line}:{tok.col}: {message}")
+
+    if diags:
+        bad(diags[0], diags[0].message)
+
     mapping = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise TmError(E_SYNTAX,
-                          f"{file}:{lineno}: expected STATE = ref, ref")
-        state, _, rest = stripped.partition("=")
-        state = state.strip()
+    for state, *rest in lines:
+        if state.kind != "ident":
+            bad(state, "expected STATE = ref, ref")
+        eq = rest[0] if rest else state
+        if eq.text != "=":
+            bad(eq, "expected STATE = ref, ref")
         refs = set()
-        for part in rest.split(","):
-            part = part.strip()
-            if not part:
+        for tok in rest[1:]:
+            if tok.kind == "comma":
                 continue
-            thimac, _, action = part.rpartition(".")
-            if not thimac or action not in _ACTION_NAMES:
-                raise TmError(E_SYNTAX,
-                              f"{file}:{lineno}: bad action ref {part!r}")
-            refs.add(ActionRef(thimac, ActionKind(action)))
+            ref = read_ref(tok.text) if tok.kind == "ident" else None
+            if ref is None:
+                bad(tok, f"bad action ref {tok.text!r}")
+            refs.add(ref)
         if not refs:
-            raise TmError(E_SYNTAX,
-                          f"{file}:{lineno}: state {state} maps to nothing")
-        mapping[state] = frozenset(refs)
+            bad(state, f"state {state.text} maps to nothing")
+        mapping[state.text] = frozenset(refs)
     return mapping
 
 

@@ -643,8 +643,12 @@ def validate_model(bundle, file: str = "<model>", positions=None):
     ("thimac", id), ("flow", index), ("trigger", index), ("event", id),
     ("behavior", index), ("priority", index), ("initial", id),
     ("schedule", index) to (line, col) pairs so parsed models report
-    source locations.
+    source locations.  Names must be identifiers as the text format
+    reads them (an empty model name stands for `unnamed`).
     """
+    # the text format's lexical rules live in dsl, which imports this module
+    from .dsl import GUARD_WORDS, ends_in_action, is_identifier
+
     if isinstance(bundle, StaticModel):
         bundle = ModelBundle(model=bundle)
     diags = []
@@ -655,19 +659,30 @@ def validate_model(bundle, file: str = "<model>", positions=None):
         diags.append(Diagnostic(file, line, col, code, message, severity))
 
     model = bundle.model
+    if model.name and not is_identifier(model.name):
+        emit(("model", model.name), E_SYNTAX,
+             f"model name {model.name!r} is not an identifier")
     tmap = {}
     for t in model.thimacs:
+        key = ("thimac", t.id)
+        if not is_identifier(t.id):
+            emit(key, E_SYNTAX, f"thimac id {t.id!r} is not an identifier")
+        elif ends_in_action(t.id):
+            emit(key, E_SYNTAX,
+                 f"thimac id {t.id!r} must not end in an action name")
+        elif t.is_store and t.id in GUARD_WORDS:
+            emit(key, E_SYNTAX, f"store id {t.id!r} is a guard word")
         if t.id in tmap:
-            emit(("thimac", t.id), E_DUP_ID, f"duplicate thimac id {t.id}")
+            emit(key, E_DUP_ID, f"duplicate thimac id {t.id}")
             continue
         tmap[t.id] = t
         if t.kind == ThimacKind.COUNTER and t.lo > t.hi:
-            emit(("thimac", t.id), E_COUNTER_RANGE,
+            emit(key, E_COUNTER_RANGE,
                  f"counter {t.id} has empty range {t.lo}..{t.hi}")
         elif t.is_store:
             problem = initial_problem(t, t.id, t.start)
             if problem is not None:
-                emit(("thimac", t.id), *problem)
+                emit(key, *problem)
 
     def resolve(ref: ActionRef, key) -> bool:
         problem = ref_problem(tmap, ref)
@@ -722,6 +737,8 @@ def validate_model(bundle, file: str = "<model>", positions=None):
     emap = {}
     for e in bundle.events:
         key = ("event", e.id)
+        if not is_identifier(e.id):
+            emit(key, E_SYNTAX, f"event id {e.id!r} is not an identifier")
         if e.id in emap:
             emit(key, E_DUP_ID, f"duplicate event id {e.id}")
             continue

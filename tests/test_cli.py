@@ -139,6 +139,19 @@ def test_import_fsm_bad_input(tmp_path, capsys):
     assert "E_UNRESOLVED_REF" in capsys.readouterr().err
 
 
+def test_import_fsm_refuses_a_name_that_is_not_an_identifier(tmp_path,
+                                                             capsys):
+    bad = tmp_path / "bad.fsm"
+    bad.write_text("fsm door\nstate Closed-1\ninitial Closed-1\n")
+    target = tmp_path / "door.tm"
+    assert main(["import-fsm", str(bad), "--out", str(target)]) == 1
+    assert not target.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"{bad}:2:13: E_SYNTAX expected: state NAME",
+        f"{bad}:3:15: E_SYNTAX expected: initial NAME",
+    ]
+
+
 # --- project --------------------------------------------------------------------
 
 def test_project_prints_report(tmp_path, capsys):
@@ -204,7 +217,7 @@ def test_conform_malformed_record(tmp_path, capsys):
     assert main(["conform", ASSEMBLY, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: E_SYNTAX trace record line 1: subject "
+    assert captured.err == (f"error: E_SYNTAX {path}:1:6: subject "
                             "'S1' is neither - nor a quoted string\n")
 
 

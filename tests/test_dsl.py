@@ -1,5 +1,7 @@
 """Text format: lexing, parsing, diagnostics, canonical roundtrip."""
 
+import dataclasses
+
 from thimac import (
     ActionKind,
     ActionRef,
@@ -261,6 +263,28 @@ def test_label_escaping_roundtrip():
     assert label == 'say "hi"\n twice'
     again = parse(serialize(result.bundle))
     assert again.ok and again.bundle.events[0].label == label
+
+
+def test_carriage_return_label_round_trips_through_a_file(tmp_path):
+    b = parse(MINI).bundle
+    first = dataclasses.replace(b.events[0], label="a\rb\r\n")
+    b = dataclasses.replace(b, events=(first,) + b.events[1:])
+    path = tmp_path / "m.tm"
+    path.write_text(serialize(b), encoding="utf-8")
+    again = parse_file(path)
+    assert again.ok, [str(d) for d in again.diagnostics]
+    assert again.bundle == canonicalize(b)
+
+
+def test_store_named_like_a_guard_word_is_rejected():
+    # `when not` would not parse back, so validation refuses the name
+    for store in ("not kind flag { init false }",
+                  "expired kind timer { duration 2 }"):
+        result = parse(f"model m\nthimac {store}\n")
+        assert not result.ok
+        assert [(d.line, d.col, d.code) for d in result.diagnostics] == [
+            (2, 8, E_SYNTAX)]
+        assert "guard word" in result.diagnostics[0].message
 
 
 def test_timer_initial_override():

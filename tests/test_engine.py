@@ -542,9 +542,32 @@ def test_trace_records_quote_subjects():
 def test_trace_records_reject_malformed_fields(record, problem):
     text = '1\tE1\t"S1"\t0\n' + record + "\n"
     with pytest.raises(TmError) as err:
-        parse_trace_records(text)
+        parse_trace_records(text, file="t.tsv")
     assert err.value.code == E_SYNTAX
-    assert err.value.message.startswith(f"trace record line 2: {problem}")
+    where, _, message = err.value.message.partition(": ")
+    assert where.startswith("t.tsv:2:")
+    assert message.startswith(problem)
+
+
+@pytest.mark.parametrize("record, col", [
+    ('x\tE1\t"S1"\t0', 1),       # the tick
+    ('1\tE1\t"S1"', 1),           # the record: a field is missing
+    ('12\t\t"S1"\t0', 4),        # the event
+    ('12\tE1\tS1\t0', 7),        # the subject
+    ('12\tE1\t"S\t1"\t0', 1),    # a tab splits the subject: 5 fields
+    ('12\tE1\t"S1"\tyes', 12),   # the bookkeeping flag
+])
+def test_trace_record_errors_point_at_the_bad_field(record, col):
+    with pytest.raises(TmError) as err:
+        parse_trace_records("\n\n" + record, file="t.tsv")
+    assert err.value.message.startswith(f"t.tsv:3:{col}: ")
+
+
+@pytest.mark.parametrize("subject", ["a\rb", "a\x0cb", "a\u2028b"])
+def test_trace_records_keep_line_separators_in_subjects(subject):
+    trace = [TraceEntry(1, (FiredEvent("e", subject, False),)),
+             TraceEntry(2, (FiredEvent("f", None, True),))]
+    assert parse_trace_records(format_trace_records(trace)) == trace
 
 
 def test_filter_displayed_keeps_marked_events():

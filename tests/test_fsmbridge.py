@@ -315,3 +315,53 @@ def test_chain_import_analyses_each_event_at_most_twice(monkeypatch):
     state, _fired = drive(reparsed, spec, stimuli)
     assert state == oracle_walk(spec, stimuli)[0] == f"S{n - 1}"
     assert len(calls) <= 2 * len(bundle.events)
+
+
+def test_parse_fsm_positions_names_that_are_not_identifiers():
+    # `Closed-1` reads as the name `Closed` and the number `-1`
+    result = parse_fsm("fsm door\nstate Closed-1\ninitial Closed\n"
+                       "trans Closed -> Closed on Open when 9lives\n")
+    assert not result.ok
+    assert [str(d) for d in result.diagnostics] == [
+        "<fsm>:2:13: E_SYNTAX expected: state NAME",
+        "<fsm>:4:37: E_SYNTAX expected: trans FROM -> TO on LABEL "
+        "[when FLAG]",
+        "<fsm>:3:9: E_UNRESOLVED_REF unknown state Closed",
+    ]
+
+
+def test_parse_fsm_columns():
+    result = parse_fsm("fsm m\nstate A\nstate A  # again\ninitial B\n"
+                       "trans A -> C on go\ntrans A -> A on\n"
+                       "\tstop A\n")
+    assert [(d.line, d.col, d.code) for d in result.diagnostics] == [
+        (3, 7, E_SYNTAX),           # the duplicate name
+        (6, 16, E_SYNTAX),          # just past the missing label
+        (7, 2, E_SYNTAX),           # the unknown directive
+        (5, 12, E_UNRESOLVED_REF),  # the unknown target state
+        (4, 9, E_UNRESOLVED_REF),   # the unknown initial state
+    ]
+
+
+def test_fsm_to_tm_refuses_names_that_are_not_identifiers():
+    spec = FsmSpec("m", ("Closed-1", "Open"), "Open", (
+        FsmTransition("Open", "Closed-1", "shut"),))
+    with pytest.raises(TmError) as err:
+        fsm_to_tm(spec)
+    assert err.value.code == E_SYNTAX
+    assert "thimac id 'st.Closed-1' is not an identifier" in str(err.value)
+
+
+def test_state_mapping_errors_name_line_and_column():
+    cases = {
+        "Closed st.Closed.create\n": "1:8: expected STATE = ref, ref",
+        "# note\nClosed = st.Closed.bogus\n":
+            "2:10: bad action ref 'st.Closed.bogus'",
+        "Closed = \n": "1:1: state Closed maps to nothing",
+        "Closed = st.Closed.create $\n": "1:27: unexpected character '$'",
+    }
+    for text, where in cases.items():
+        with pytest.raises(TmError) as err:
+            parse_state_mapping(text, file="map.txt")
+        assert err.value.code == E_SYNTAX
+        assert err.value.message == f"map.txt:{where}"

@@ -402,3 +402,28 @@ def test_canonicalize_sorts_and_completes():
 def test_guard_text():
     g = (CounterCmp("c", ">", 0), FlagTest("f", negated=True), TimerExpired("t"))
     assert guard_text(g) == "c > 0 and not f and expired t"
+
+
+def test_names_follow_the_identifier_rule():
+    b = bundle(thimacs=[machine("M-1"), machine("M.receive"),
+                        machine("create"), flag("not"), timer("expired"),
+                        machine("ok")],
+               events=[Event("1e", frozenset({ref("ok.process")}))])
+    b = replace(b, model=replace(b.model, name="m x"))
+    positions = {("thimac", "not"): (3, 8), ("event", "1e"): (6, 7)}
+    diags = [d for d in validate_model(b, "f.tm", positions)
+             if d.code == E_SYNTAX]
+    assert [str(d) for d in diags] == [
+        "f.tm:0:0: E_SYNTAX model name 'm x' is not an identifier",
+        "f.tm:0:0: E_SYNTAX thimac id 'M-1' is not an identifier",
+        "f.tm:0:0: E_SYNTAX thimac id 'M.receive' must not end in an "
+        "action name",
+        "f.tm:0:0: E_SYNTAX thimac id 'create' must not end in an "
+        "action name",
+        "f.tm:3:8: E_SYNTAX store id 'not' is a guard word",
+        "f.tm:0:0: E_SYNTAX store id 'expired' is a guard word",
+        "f.tm:6:7: E_SYNTAX event id '1e' is not an identifier",
+    ]
+    # a machine may take a guard word, and an unnamed model is allowed
+    ok = bundle(thimacs=[machine("not")])
+    assert validate_model(replace(ok, model=replace(ok.model, name=""))) == []
