@@ -15,18 +15,24 @@ any order:
     initial { B1.count = 2; M1.block = true; }
     schedule { at 1 inject env "S1"; }
 
-Comments run from `#` to end of line.  Names (the model name, thimac
-and event ids) are identifiers: dot-separated segments, each a letter
-or `_` followed by letters, digits or `_` (`M1`, `B1.count`).  A
-reference is a dotted name whose last segment is an action kind;
-everything before it is the thimac id, which may itself contain dots,
-so no thimac id may end in an action name.  Guards are conjunctions of
-counter comparisons (`c < 3`), flag tests (`f`, `not f`), and timer
-expiry tests (`expired t`); `not` and `expired` are guard words, so no
-store may take either as its id.  When a document omits `priority`,
-events fire in declaration order.  The FSM and state-mapping formats
-(`thimac.fsmbridge`) and trace records (`thimac.engine`) read their
-names, references and strings with the readers here.
+Comments run from `#` to end of line.  Spaces, tabs and carriage
+returns are blanks: they separate tokens and are otherwise ignored, so
+`\r\n` ends a line like `\n`.  Only `\n` starts a new line; columns
+count characters from 1, a blank as one.  Any other character that no
+token starts with (a form feed, say) is reported where it stands.
+
+Names (the model name, thimac and event ids) are identifiers:
+dot-separated segments, each a letter or `_` followed by letters,
+digits or `_` (`M1`, `B1.count`).  A reference is a dotted name whose
+last segment is an action kind; everything before it is the thimac id,
+which may itself contain dots, so no thimac id may end in an action
+name.  Guards are conjunctions of counter comparisons (`c < 3`), flag
+tests (`f`, `not f`), and timer expiry tests (`expired t`); `not` and
+`expired` are guard words, so no store may take either as its id.
+When a document omits `priority`, events fire in declaration order.
+The FSM and state-mapping formats (`thimac.fsmbridge`) and trace
+records (`thimac.engine`) read their names, references and strings
+with the readers here.
 
 `parse` returns a ParseResult; the bundle is present exactly when no
 error-severity diagnostics were produced.  `serialize` emits the
@@ -38,6 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -59,40 +66,52 @@ from .model import (
     TimerExpired,
     TriggerEdge,
     canonicalize,
-    guard_text,
     has_errors,
     validate_model,
 )
 
 _ACTIONS = {a.value: a for a in ActionKind}
+_THIMAC_KINDS = {k.value: k for k in ThimacKind}
+_EFFECTS = {e.value: e for e in Effect}
 
 # Words that open a guard atom; a store with one as its id could not be
 # named in a guard.
 GUARD_WORDS = frozenset({"not", "expired"})
 
-# Newlines occur only inside `ws`, which is how `_lex` counts lines; the
-# last alternative takes any character no token can start with.
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<dotdot>\.\.)
-  | (?P<int>-?\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<cmp>!=|<=|>=|<|>|=)
-  | (?P<lbrace>\{)
-  | (?P<rbrace>\})
-  | (?P<lbracket>\[)
-  | (?P<rbracket>\])
-  | (?P<comma>,)
-  | (?P<semi>;)
-  | (?P<colon>:)
-  | (?P<bad>(?s:.))
-    """,
-    re.VERBOSE,
+# Token kinds and their patterns.  A scan step takes the blanks before a
+# token and then exactly one alternative, so one regex step yields one
+# token, newline, comment or bad character.  `ident` comes first because
+# it is the commonest; `bad` takes any character no token can start
+# with.  The blanks are taken greedily and no alternative starts with a
+# blank, so the prefix never backtracks; at end of input `end` matches
+# the blanks that are left.
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*"
+_STRING = r'"(?:[^"\\\n]|\\.)*"'
+_TOKEN_PATTERNS = (
+    ("ident", _IDENT),
+    ("newline", r"\n"),
+    ("string", _STRING),
+    ("comment", r"#[^\n]*"),
+    ("arrow", r"->"),
+    ("dotdot", r"\.\."),
+    ("int", r"-?\d+"),
+    ("cmp", r"!=|<=|>=|<|>|="),
+    ("lbrace", r"\{"),
+    ("rbrace", r"\}"),
+    ("lbracket", r"\["),
+    ("rbracket", r"\]"),
+    ("comma", r","),
+    ("semi", r";"),
+    ("colon", r":"),
+    ("bad", r"[^ \t\r]"),
+    ("end", r"\Z"),
 )
+_TOKEN_RE = re.compile("[ \t\r]*(?:" + "|".join(
+    f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_PATTERNS) + ")")
+_TOKEN_KINDS = frozenset(kind for kind, _ in _TOKEN_PATTERNS) \
+    - {"newline", "comment", "bad", "end"}
+_IDENT_RE = re.compile(_IDENT)
+_STRING_RE = re.compile(_STRING)
 
 
 class Token(NamedTuple):
@@ -121,22 +140,22 @@ def _lex(text: str, file: str):
     diags = []
     line = 1
     line_start = 0
+    # tuple.__new__ skips NamedTuple's Python-level constructor
+    new = tuple.__new__
+    append = tokens.append
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "ws":
-            lexeme = m.group()
-            last_newline = lexeme.rfind("\n")
-            if last_newline >= 0:
-                line += lexeme.count("\n")
-                line_start = m.start() + last_newline + 1
+        if kind in _TOKEN_KINDS:
+            append(new(Token, (kind, m[kind], line,
+                               m.start(kind) - line_start + 1)))
+        elif kind == "newline":
+            line += 1
+            line_start = m.end()
         elif kind == "bad":
-            diags.append(Diagnostic(file, line, m.start() - line_start + 1,
+            diags.append(Diagnostic(file, line, m.start(kind) - line_start + 1,
                                     E_SYNTAX,
-                                    f"unexpected character {m.group()!r}"))
-        elif kind != "comment":
-            tokens.append(Token(kind, m.group(), line,
-                                m.start() - line_start + 1))
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+                                    f"unexpected character {m[kind]!r}"))
+    append(new(Token, ("eof", "", line, len(text) - line_start + 1)))
     return tokens, diags
 
 
@@ -145,15 +164,14 @@ def lex_lines(text: str, file: str):
     and comment-only lines, plus the diagnostics for characters no
     token can start with.  The line-based formats read their text so."""
     tokens, diags = _lex(text, file)
-    lines = groupby(tokens[:-1], key=lambda tok: tok.line)
+    lines = groupby(tokens[:-1], key=attrgetter("line"))
     return [list(line) for _, line in lines], diags
 
 
 def is_identifier(name: str) -> bool:
     """Whether `name` is one identifier token: the model name, thimac
     ids and event ids must be."""
-    m = _TOKEN_RE.fullmatch(name)
-    return m is not None and m.lastgroup == "ident"
+    return _IDENT_RE.fullmatch(name) is not None
 
 
 def read_ref(name: str) -> Optional[ActionRef]:
@@ -175,8 +193,7 @@ def ends_in_action(name: str) -> bool:
 
 def read_string(text: str) -> Optional[str]:
     """The value of `text` when it is one whole quoted string, else None."""
-    m = _TOKEN_RE.fullmatch(text)
-    if m is None or m.lastgroup != "string":
+    if _STRING_RE.fullmatch(text) is None:
         return None
     return _unescape(text)
 
@@ -188,6 +205,8 @@ _ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 def _unescape(text: str) -> str:
     # strip quotes, undo \" \\ \n \r \t; any other escaped character
     # stands for itself
+    if "\\" not in text:
+        return text[1:-1]
     return _ESCAPED.sub(lambda m: _ESCAPES.get(m.group(1), m.group(1)),
                         text[1:-1])
 
@@ -214,8 +233,11 @@ class _Parser:
         self.initial = {}
         self.schedule = []
         self.name = ""
+        self.refs = {}          # read_ref's answers, reused for repeats
 
     # --- token plumbing ---
+    # `expect` and `eat` only step past a token of the kind they asked
+    # for, never eof, so only `next` has to stop at the end.
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -231,30 +253,32 @@ class _Parser:
         raise _ParseFailure()
 
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.next()
+        tok = self.tokens[self.i]
         if tok.kind != kind:
             self.fail(tok, f"expected {what}, got {tok.text or 'end of file'!r}")
+        self.i += 1
         return tok
 
     def expect_word(self, word: str) -> Token:
-        tok = self.next()
+        tok = self.tokens[self.i]
         if tok.kind != "ident" or tok.text != word:
             self.fail(tok, f"expected {word!r}, got {tok.text or 'end of file'!r}")
+        self.i += 1
         return tok
 
     def eat(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        if tok.kind == kind and text in (None, tok.text):
-            self.next()
+        tok = self.tokens[self.i]
+        if tok.kind == kind and (text is None or tok.text == text):
+            self.i += 1
             return True
         return False
 
-    def expect_enum(self, enum, what: str, noun: str):
+    def expect_enum(self, members: dict, what: str, noun: str):
         tok = self.expect("ident", what)
-        try:
-            return enum(tok.text)
-        except ValueError:
+        member = members.get(tok.text)
+        if member is None:
             self.fail(tok, f"unknown {noun} {tok.text!r}")
+        return member
 
     def expect_int(self, what: str) -> int:
         tok = self.expect("int", what)
@@ -262,9 +286,12 @@ class _Parser:
 
     def expect_ref(self, what: str = "an action reference") -> ActionRef:
         tok = self.expect("ident", what)
-        ref = read_ref(tok.text)
+        ref = self.refs.get(tok.text)
         if ref is None:
-            self.fail(tok, f"{tok.text!r} is not a dotted action reference")
+            ref = read_ref(tok.text)
+            if ref is None:
+                self.fail(tok, f"{tok.text!r} is not a dotted action reference")
+            self.refs[tok.text] = ref
         return ref
 
     # --- declarations ---
@@ -272,40 +299,41 @@ class _Parser:
     def parse_document(self):
         self.expect_word("model")
         self.name = self.expect("ident", "a model name").text
+        handlers = {
+            "thimac": self.parse_thimac,
+            "flow": self.parse_flow,
+            "trigger": self.parse_trigger,
+            "event": self.parse_event,
+            "behavior": self.parse_behavior,
+            "priority": self.parse_priority,
+            "initial": self.parse_initial,
+            "schedule": self.parse_schedule,
+        }
         while self.peek().kind != "eof":
-            tok = self.peek()
+            tok = self.next()
             if tok.kind != "ident":
                 self.fail(tok, f"expected a declaration, got {tok.text!r}")
-            handler = {
-                "thimac": self.parse_thimac,
-                "flow": self.parse_flow,
-                "trigger": self.parse_trigger,
-                "event": self.parse_event,
-                "behavior": self.parse_behavior,
-                "priority": self.parse_priority,
-                "initial": self.parse_initial,
-                "schedule": self.parse_schedule,
-            }.get(tok.text)
+            handler = handlers.get(tok.text)
             if handler is None:
                 self.fail(tok, f"unknown declaration {tok.text!r}")
-            handler(self.next())
+            handler(tok)
 
     def parse_thimac(self, kw: Token):
         name_tok = self.expect("ident", "a thimac id")
         tid = name_tok.text
         self.expect_word("kind")
-        kind = self.expect_enum(ThimacKind, "a thimac kind", "thimac kind")
+        kind = self.expect_enum(_THIMAC_KINDS, "a thimac kind", "thimac kind")
         self.expect("lbrace", "'{'")
         actions = set()
         lo = hi = 0
         init = False if kind == ThimacKind.FLAG else 0
         duration = 0
-        while self.peek().kind != "rbrace":
+        while not self.eat("rbrace"):
             member = self.expect("ident", "a thimac member")
             if member.text == "actions":
                 self.expect("colon", "':'")
                 while True:
-                    actions.add(self.expect_enum(ActionKind, "an action name",
+                    actions.add(self.expect_enum(_ACTIONS, "an action name",
                                                  "action"))
                     if not self.eat("comma"):
                         break
@@ -324,7 +352,6 @@ class _Parser:
                 duration = self.expect_int("a duration")
             else:
                 self.fail(member, f"unknown thimac member {member.text!r}")
-        self.expect("rbrace", "'}'")
         self.positions[("thimac", tid)] = (name_tok.line, name_tok.col)
         self.thimacs.append(Thimac(tid, kind, frozenset(actions),
                                    lo, hi, init, duration))
@@ -366,7 +393,7 @@ class _Parser:
         dst = self.expect_ref()
         effect = None
         if self.eat("ident", "effect"):
-            effect = self.expect_enum(Effect, "an effect name", "effect")
+            effect = self.expect_enum(_EFFECTS, "an effect name", "effect")
         guard = ()
         if self.eat("ident", "when"):
             guard = self.parse_guard()
@@ -381,38 +408,35 @@ class _Parser:
         self.expect_word("region")
         self.expect("lbrace", "'{'")
         refs = set()
-        while self.peek().kind != "rbrace":
+        while not self.eat("rbrace"):
             refs.add(self.expect_ref())
             self.eat("comma")
-        self.expect("rbrace", "'}'")
         self.positions[("event", name_tok.text)] = (name_tok.line, name_tok.col)
         self.events.append(Event(name_tok.text, frozenset(refs),
                                  _unescape(label_tok.text), bookkeeping, displayed))
 
     def parse_behavior(self, kw: Token):
         self.expect("lbrace", "'{'")
-        while self.peek().kind != "rbrace":
+        while not self.eat("rbrace"):
             src = self.expect("ident", "an event id")
             self.expect("arrow", "'->'")
             dst = self.expect("ident", "an event id")
             self.expect("semi", "';'")
             self.positions[("behavior", len(self.behavior))] = (src.line, src.col)
             self.behavior.append((src.text, dst.text))
-        self.expect("rbrace", "'}'")
 
     def parse_priority(self, kw: Token):
         self.expect("lbracket", "'['")
         self.saw_priority = True
-        while self.peek().kind != "rbracket":
+        while not self.eat("rbracket"):
             tok = self.expect("ident", "an event id")
             self.positions[("priority", len(self.priority))] = (tok.line, tok.col)
             self.priority.append(tok.text)
             self.eat("comma")
-        self.expect("rbracket", "']'")
 
     def parse_initial(self, kw: Token):
         self.expect("lbrace", "'{'")
-        while self.peek().kind != "rbrace":
+        while not self.eat("rbrace"):
             name_tok = self.expect("ident", "a store id")
             eq = self.expect("cmp", "'='")
             if eq.text != "=":
@@ -427,11 +451,10 @@ class _Parser:
             self.expect("semi", "';'")
             self.positions[("initial", name_tok.text)] = (name_tok.line, name_tok.col)
             self.initial[name_tok.text] = value
-        self.expect("rbrace", "'}'")
 
     def parse_schedule(self, kw: Token):
         self.expect("lbrace", "'{'")
-        while self.peek().kind != "rbrace":
+        while not self.eat("rbrace"):
             at = self.expect_word("at")
             tick = self.expect_int("a tick number")
             self.expect_word("inject")
@@ -441,7 +464,6 @@ class _Parser:
             self.positions[("schedule", len(self.schedule))] = (at.line, at.col)
             self.schedule.append(Injection(tick, target.text,
                                            _unescape(label.text)))
-        self.expect("rbrace", "'}'")
 
     def build(self) -> ModelBundle:
         model = StaticModel(tuple(self.thimacs), tuple(self.flows),
@@ -516,9 +538,10 @@ def parse_file(path) -> ParseResult:
 
 
 def _thimac_block(t: Thimac) -> str:
+    # enum texts through `_value_`: Enum's `value` is a Python-level call
     members = []
     if not t.is_store:
-        acts = ", ".join(a.value for a in ACTION_ORDER if a in t.actions)
+        acts = ", ".join(a._value_ for a in ACTION_ORDER if a in t.actions)
         members.append(f"  actions: {acts}")
     if t.kind == ThimacKind.COUNTER:
         members.append(f"  range {t.lo} .. {t.hi} init {t.init}")
@@ -528,16 +551,17 @@ def _thimac_block(t: Thimac) -> str:
         members.append(f"  duration {t.duration}")
     body = "\n".join(members)
     if body:
-        return f"thimac {t.id} kind {t.kind.value} {{\n{body}\n}}"
-    return f"thimac {t.id} kind {t.kind.value} {{ }}"
+        return f"thimac {t.id} kind {t.kind._value_} {{\n{body}\n}}"
+    return f"thimac {t.id} kind {t.kind._value_} {{ }}"
 
 
 def _trigger_line(t: TriggerEdge) -> str:
-    line = f"trigger {t.src} -> {t.dst}"
-    if t.effect is not None:
-        line += f" effect {t.effect.value}"
-    if t.guard:
-        line += f" when {guard_text(t.guard)}"
+    src, dst, effect, guard = t.sort_key
+    line = f"trigger {src} -> {dst}"
+    if effect:
+        line += f" effect {effect}"
+    if guard:
+        line += f" when {guard}"
     return line
 
 
@@ -547,14 +571,14 @@ def _event_line(e: Event) -> str:
         line += " bookkeeping"
     if e.displayed:
         line += " displayed"
-    refs = ", ".join(str(r) for r in sorted(e.region, key=str))
+    refs = ", ".join(sorted(map(str, e.region)))
     return f"{line} region {{ {refs} }}"
 
 
 def serialize(bundle: ModelBundle) -> str:
     """Emit the canonical text form of a bundle."""
     b = canonicalize(bundle)
-    parts = [f"model {b.model.name}" if b.model.name else "model unnamed"]
+    parts = [f"model {b.model.name}"]
     for t in b.model.thimacs:
         parts.append(_thimac_block(t))
     for f in b.model.flows:

@@ -30,14 +30,16 @@ mapping is incomplete or overlapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .dsl import (UnreadableInput, ends_in_action, lex_lines, read_ref,
-                  read_text)
+from .dsl import (GUARD_WORDS, UnreadableInput, ends_in_action, lex_lines,
+                  read_ref, read_text)
 from .model import (
+    ACTION_ORDER,
     ActionKind,
     ActionRef,
     Diagnostic,
+    E_DUP_ID,
     E_NO_INITIAL,
     E_SYNTAX,
     E_UNRESOLVED_REF,
@@ -103,12 +105,15 @@ _SHAPES = {
 def _misfit(head, words, shape):
     """The first of a line's `words` that breaks `shape`, or an empty
     token just past the line when it ends early; None when it fits."""
-    last = (words or [head])[-1]
-    end = last._replace(kind="eol", text="", col=last.col + len(last.text))
-    for tok, want in zip(words + [end], shape + ("",)):
+    for tok, want in zip(words, shape):
         fits = tok.kind == "ident" if want is None else tok.text == want
         if not fits:
             return tok
+    if len(words) > len(shape):
+        return words[len(shape)]
+    if len(words) < len(shape):
+        last = (words or [head])[-1]
+        return last._replace(kind="eol", text="", col=last.col + len(last.text))
     return None
 
 
@@ -146,11 +151,19 @@ def parse_fsm(text: str, file: str = "<fsm>") -> FsmParseResult:
     if "fsm" not in once and not diags:
         diags.append(Diagnostic(file, 1, 1, E_SYNTAX, "missing fsm header"))
     transitions = []
+    generated = ()      # the ids fsm_to_tm makes, which no guard may take
+    if any(len(words) == 7 for words in raw_transitions):
+        state_id, stim_id = _thimac_ids(
+            states, {words[4].text for words in raw_transitions})
+        generated = {_USED, *state_id.values(), *stim_id.values()}
     for src, _arrow, dst, _on, label, *when in raw_transitions:
         missing = [s for s in (src, dst) if s.text not in states]
         for state in missing:
             bad(state, f"unknown state {state.text}", E_UNRESOLVED_REF)
-        if not missing:
+        problem = _guard_problem(when[1].text, generated) if when else None
+        if problem is not None:
+            bad(when[1], problem[1], problem[0])
+        elif not missing:
             guard = when[1].text if when else None
             transitions.append(FsmTransition(src.text, dst.text, label.text,
                                              guard))
@@ -166,6 +179,19 @@ def parse_fsm(text: str, file: str = "<fsm>") -> FsmParseResult:
     return FsmParseResult(FsmSpec(once["fsm"].text, tuple(states),
                                   initial.text, tuple(transitions)),
                           tuple(diags))
+
+
+def _guard_problem(flag: str, generated):
+    """(code, message) when a guard flag may not take the id `flag`,
+    which must not be one of the `generated` thimac ids and must pass
+    the model's store id rules; None when it may."""
+    if flag in generated:
+        return E_DUP_ID, f"guard flag {flag} is also a generated thimac id"
+    if flag in GUARD_WORDS:
+        return E_SYNTAX, f"guard flag {flag!r} is a guard word"
+    if ends_in_action(flag):
+        return E_SYNTAX, f"guard flag {flag!r} must not end in an action name"
+    return None
 
 
 def parse_fsm_file(path) -> FsmParseResult:
@@ -188,6 +214,17 @@ def _safe(tid: str) -> str:
     return tid + "_" if ends_in_action(tid) else tid
 
 
+# The sink every stimulus drains into.
+_USED = "used"
+
+
+def _thimac_ids(states, labels):
+    """The ids of each state's machine and each label's stimulus source
+    in the generated bundle, as two dicts."""
+    return ({s: _safe(f"st.{s}") for s in states},
+            {l: _safe(f"stim.{l}") for l in labels})
+
+
 def _gerund(label: str) -> str:
     base = label.lower()
     if base.endswith("e"):
@@ -195,11 +232,24 @@ def _gerund(label: str) -> str:
     return base + "ing"
 
 
+class _Refs(NamedTuple):
+    """One thimac's five action references, made once."""
+
+    create: ActionRef
+    process: ActionRef
+    release: ActionRef
+    transfer: ActionRef
+    receive: ActionRef
+
+
+def _refs(tid: str) -> _Refs:
+    return _Refs(*(ActionRef(tid, action) for action in ACTION_ORDER))
+
+
 def fsm_to_tm(spec: FsmSpec) -> ModelBundle:
     """Build and validate the thing-machine form of a state machine."""
-    state_id = {s: _safe(f"st.{s}") for s in spec.states}
     labels = list(dict.fromkeys(t.label for t in spec.transitions))
-    stim_id = {l: _safe(f"stim.{l}") for l in labels}
+    state_id, stim_id = _thimac_ids(spec.states, labels)
     guards = list(dict.fromkeys(t.guard for t in spec.transitions
                                 if t.guard is not None))
 
@@ -207,39 +257,31 @@ def fsm_to_tm(spec: FsmSpec) -> ModelBundle:
                for s in spec.states]
     thimacs += [Thimac(stim_id[l], ThimacKind.SOURCE, _SOURCE_ACTS)
                 for l in labels]
-    thimacs.append(Thimac("used", ThimacKind.SINK, _SINK_ACTS))
+    thimacs.append(Thimac(_USED, ThimacKind.SINK, _SINK_ACTS))
     thimacs += [Thimac(g, ThimacKind.FLAG, init=True) for g in guards]
 
-    def ref(tid, action):
-        return ActionRef(tid, action)
+    st = {s: _refs(state_id[s]) for s in spec.states}
+    stim = {l: _refs(stim_id[l]) for l in labels}
+    used = _refs(_USED)
 
-    flows = []
-    seen_flows = set()
-
-    def flow(src, dst):
-        edge = FlowEdge(src, dst)
-        if edge not in seen_flows:
-            seen_flows.add(edge)
-            flows.append(edge)
-
+    # source -> target, each pair once, in first-seen order
+    pairs = {}
     for t in spec.transitions:
-        src, dst = state_id[t.src], state_id[t.dst]
-        flow(ref(src, ActionKind.RELEASE), ref(src, ActionKind.TRANSFER))
-        flow(ref(src, ActionKind.TRANSFER), ref(dst, ActionKind.RECEIVE))
+        src, dst = st[t.src], st[t.dst]
+        pairs[src.release, src.transfer] = None
+        pairs[src.transfer, dst.receive] = None
     for l in labels:
-        sid = stim_id[l]
-        flow(ref(sid, ActionKind.RELEASE), ref(sid, ActionKind.TRANSFER))
-        flow(ref(sid, ActionKind.TRANSFER), ref("used", ActionKind.TRANSFER))
+        pairs[stim[l].release, stim[l].transfer] = None
+        pairs[stim[l].transfer, used.transfer] = None
     if labels:
-        flow(ref("used", ActionKind.TRANSFER), ref("used", ActionKind.RECEIVE))
+        pairs[used.transfer, used.receive] = None
+    flows = [FlowEdge(src, dst) for src, dst in pairs]
 
     triggers = []
     for t in spec.transitions:
         guard = (FlagTest(t.guard),) if t.guard else ()
-        triggers.append(TriggerEdge(
-            ref(stim_id[t.label], ActionKind.TRANSFER),
-            ref(state_id[t.src], ActionKind.RELEASE),
-            None, guard))
+        triggers.append(TriggerEdge(stim[t.label].transfer,
+                                    st[t.src].release, None, guard))
 
     used_ids = set()
     next_suffix = {}
@@ -261,21 +303,15 @@ def fsm_to_tm(spec: FsmSpec) -> ModelBundle:
     for s in spec.states:
         eid = unique(s.lower())
         state_event[s] = eid
-        sid = state_id[s]
-        events.append(Event(eid, frozenset({
-            ref(sid, ActionKind.CREATE), ref(sid, ActionKind.PROCESS)}),
-            f"resting in {s}"))
+        events.append(Event(eid, frozenset({st[s].create, st[s].process}),
+                            f"resting in {s}"))
     behavior = []
     for t in spec.transitions:
         eid = unique(_gerund(t.label))
-        src, dst = state_id[t.src], state_id[t.dst]
-        sid = stim_id[t.label]
+        src, dst, sid = st[t.src], st[t.dst], stim[t.label]
         events.append(Event(eid, frozenset({
-            ref(src, ActionKind.RELEASE), ref(src, ActionKind.TRANSFER),
-            ref(dst, ActionKind.RECEIVE),
-            ref(sid, ActionKind.RELEASE), ref(sid, ActionKind.TRANSFER),
-            ref("used", ActionKind.TRANSFER),
-            ref("used", ActionKind.RECEIVE)}),
+            src.release, src.transfer, dst.receive,
+            sid.release, sid.transfer, used.transfer, used.receive}),
             f"{t.src} to {t.dst} on {t.label}"))
         behavior.append((state_event[t.src], eid))
         behavior.append((eid, state_event[t.dst]))

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Union
 
@@ -53,6 +54,8 @@ class ThimacKind(Enum):
     FLAG = "flag"
     TIMER = "timer"
 
+    __hash__ = object.__hash__      # as ActionKind's
+
 
 STORE_KINDS = frozenset({ThimacKind.COUNTER, ThimacKind.FLAG, ThimacKind.TIMER})
 TOKEN_KINDS = frozenset(
@@ -70,6 +73,8 @@ class Effect(Enum):
     RESET = "reset"
     START = "start"
 
+    __hash__ = object.__hash__      # as ActionKind's
+
 
 class ActionRef(NamedTuple):
     """A reference to one action of one thimac."""
@@ -78,7 +83,8 @@ class ActionRef(NamedTuple):
     action: ActionKind
 
     def __str__(self) -> str:
-        return f"{self.thimac}.{self.action.value}"
+        # `_value_` is a plain attribute; Enum's `value` is a descriptor
+        return f"{self.thimac}.{self.action._value_}"
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +137,9 @@ def guard_text(guard: Guard) -> str:
     return " and ".join(str(atom) for atom in guard)
 
 
-def trigger_key(t) -> tuple:
-    """Canonical trigger order: emission order and firing order alike."""
-    return (str(t.src), str(t.dst), t.effect.value if t.effect else "",
-            guard_text(t.guard))
+# Canonical trigger order, emission order and firing order alike: the
+# edge's `sort_key`, computed once per edge.
+trigger_key = attrgetter("sort_key")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,7 @@ class Thimac:
         """Declared starting value: a timer's duration, else `init`."""
         return self.duration if self.kind == ThimacKind.TIMER else self.init
 
-    @property
+    @cached_property
     def effective_actions(self) -> frozenset:
         if self.is_store:
             return frozenset({ActionKind.CREATE})
@@ -193,6 +198,14 @@ class TriggerEdge:
     dst: ActionRef
     effect: Optional[Effect] = None
     guard: Guard = ()
+
+    @cached_property
+    def sort_key(self) -> tuple:
+        """The texts of source, target, effect and guard, which order
+        triggers in canonical form and in firing order."""
+        return (str(self.src), str(self.dst),
+                self.effect._value_ if self.effect else "",
+                guard_text(self.guard))
 
 
 @dataclass(frozen=True)
@@ -402,16 +415,26 @@ def induced_region(model: StaticModel, actions: frozenset, parent: str = "") -> 
     checking.  Costs at most the edges leaving the set, and at most the
     set's size per action, never the whole model."""
     actions = frozenset(actions)
+    size = len(actions)
 
     def inside(edges, table):
         hits = []
         for a in actions:
-            out = table.get(a, ())
+            out = table.get(a)
+            if out is None:
+                continue
             # walk the smaller side, so a hub costs no more than the set
-            for b in (out if len(out) <= len(actions) else actions):
-                if b in out and b in actions:
-                    hits.extend(out[b])
-        return tuple(edges[i] for i in sorted(hits))
+            if len(out) <= size:
+                for b, found in out.items():
+                    if b in actions:
+                        hits += found
+            else:
+                for b in actions:
+                    found = out.get(b)
+                    if found:
+                        hits += found
+        hits.sort()
+        return tuple([edges[i] for i in hits])
 
     flows_from, triggers_from = model._edges_from
     return Region(parent or model.name, actions,
@@ -471,29 +494,28 @@ def decompose_flows(region: Region):
         return (), None
     succ: dict = {}
     pred: dict = {}
-    nodes = set()
     for f in region.flows:
-        if f.src in succ:
-            return None, f"action {f.src} feeds more than one induced flow"
-        if f.dst in pred:
-            return None, f"action {f.dst} is fed by more than one induced flow"
-        succ[f.src] = f.dst
-        pred[f.dst] = f.src
-        nodes.add(f.src)
-        nodes.add(f.dst)
-    starts = sorted((n for n in nodes if n not in pred), key=str)
+        src, dst = f.src, f.dst
+        if src in succ:
+            return None, f"action {src} feeds more than one induced flow"
+        if dst in pred:
+            return None, f"action {dst} is fed by more than one induced flow"
+        succ[src] = dst
+        pred[dst] = src
+    starts = [n for n in succ if n not in pred]
+    if len(starts) > 1:
+        starts.sort(key=str)
     paths = []
-    visited = set()
-    for start in starts:
-        path = [start]
-        visited.add(start)
-        cur = start
+    walked = 0
+    for cur in starts:
+        path = [cur]
         while cur in succ:
             cur = succ[cur]
             path.append(cur)
-            visited.add(cur)
+        walked += len(path) - 1
         paths.append(tuple(path))
-    if len(visited) != len(nodes):
+    # with no branching or merging, the edges the paths miss form cycles
+    if walked != len(succ):
         return None, "induced flows contain a cycle"
     return tuple(paths), None
 
@@ -522,14 +544,16 @@ class EventInfo:
     malformed), progression target, gating guards, trigger firing order,
     and the flags and timers it writes as ("store", id) keys (counters
     commute, so are left out).  `model.event_info(event)` computes it
-    once per model."""
+    once per model; the gates, firing order and writes wait for their
+    first use, which validation never makes.  It keeps the model's
+    thimac table but not the model, so no reference cycle forms."""
 
     def __init__(self, model: StaticModel, event: Event):
-        tmap = model._by_id
+        self._thimacs = tmap = model._by_id
         self.event = event
         self.region = region = induced_region(model, event.region)
         paths, self.reason = decompose_flows(region)
-        if paths:
+        if paths and len(paths) > 1:
             # the primary path leads: the first not ending in a sink
             primary = next((p for p in paths
                             if (t := tmap.get(p[-1].thimac)) is not None
@@ -555,28 +579,36 @@ class EventInfo:
                 self.progress_target = max(stages[self.progress_thimac],
                                            key=STAGE_DEPTH.get)
 
-        # gating guards, all of which must hold: effectful triggers gate
-        # unless they share their source and target with another induced
-        # trigger; signals gate when they point at a path head, or
-        # anywhere in a flow-less region
+    @cached_property
+    def gates(self) -> tuple:
+        """Gating guards, all of which must hold: effectful triggers gate
+        unless they share their source and target with another induced
+        trigger; signals gate when they point at a path head, or
+        anywhere in a flow-less region."""
+        region = self.region
         groups: dict = {}
         for t in region.triggers:
             groups.setdefault((t.src, t.dst), []).append(t)
-        heads = {p[0] for p in paths or ()}
-        self.gates = tuple(
+        heads = {p[0] for p in self.paths or ()}
+        return tuple(
             members[0].guard for (_, dst), members in groups.items()
             if len(members) == 1 and (members[0].effect is not None
                                       or dst in heads or not region.flows))
-        self.apply_order = tuple(sorted(region.triggers, key=trigger_key))
 
+    @cached_property
+    def apply_order(self) -> tuple:
+        return tuple(sorted(self.region.triggers, key=trigger_key))
+
+    @cached_property
+    def writes(self) -> frozenset:
         writes = set()
-        for t in region.triggers:
-            target = tmap.get(t.dst.thimac)
+        for t in self.region.triggers:
+            target = self._thimacs.get(t.dst.thimac)
             if t.effect in (Effect.SET, Effect.CLEAR) or (
                     t.effect in (Effect.RESET, Effect.START)
                     and target is not None and target.kind == ThimacKind.TIMER):
                 writes.add(("store", t.dst.thimac))
-        self.writes = frozenset(writes)
+        return frozenset(writes)
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +743,10 @@ def validate_model(bundle, file: str = "<model>", positions=None):
                          f"guard compares {atom.counter} which is not a counter")
                 elif atom.op not in COMPARE_OPS:
                     emit(key, E_SYNTAX, f"bad comparison operator {atom.op}")
+                elif (not isinstance(atom.value, int)
+                      or isinstance(atom.value, bool)):
+                    emit(key, E_SYNTAX, f"guard compares {atom.counter} "
+                                        f"with {atom.value!r}, not an integer")
             elif isinstance(atom, FlagTest):
                 t = tmap.get(atom.flag)
                 if t is None or t.kind != ThimacKind.FLAG:
@@ -746,10 +782,11 @@ def validate_model(bundle, file: str = "<model>", positions=None):
         if not e.region:
             emit(key, E_EMPTY_REGION, f"event {e.id} has an empty region")
             continue
-        ok = True
-        for ref in sorted(e.region, key=str):
-            ok &= resolve(ref, key)
-        if ok:
+        unresolved = [ref for ref in e.region
+                      if ref_problem(tmap, ref) is not None]
+        for ref in sorted(unresolved, key=str):
+            resolve(ref, key)
+        if not unresolved:
             info = model.event_info(e)
             if info.paths is None:
                 emit(key, E_REGION_FLOWS, f"event {e.id}: {info.reason}")
@@ -812,16 +849,18 @@ def initial_problem(t: Optional[Thimac], tid: str, value):
 
 
 def canonicalize(bundle: ModelBundle) -> ModelBundle:
-    """Normal form: everything sorted, priority spelled out in full."""
+    """Normal form: everything sorted, priority spelled out in full, an
+    empty model name spelled `unnamed`."""
+    by_id = attrgetter("id")
     model = StaticModel(
-        thimacs=tuple(sorted(bundle.model.thimacs, key=lambda t: t.id)),
+        thimacs=tuple(sorted(bundle.model.thimacs, key=by_id)),
         flows=tuple(sorted(bundle.model.flows, key=lambda f: (str(f.src), str(f.dst)))),
         triggers=tuple(sorted(bundle.model.triggers, key=trigger_key)),
-        name=bundle.model.name,
+        name=bundle.model.name or "unnamed",
     )
     return ModelBundle(
         model=model,
-        events=tuple(sorted(bundle.events, key=lambda e: e.id)),
+        events=tuple(sorted(bundle.events, key=by_id)),
         behavior=tuple(sorted(bundle.behavior)),
         priority=bundle.priority_order(),
         initial=dict(sorted(bundle.initial.items())),

@@ -152,6 +152,20 @@ def test_import_fsm_refuses_a_name_that_is_not_an_identifier(tmp_path,
     ]
 
 
+
+def test_import_fsm_positions_a_guard_flag_it_cannot_take(tmp_path, capsys):
+    bad = tmp_path / "bad.fsm"
+    bad.write_text("fsm m\nstate A\nstate B\ninitial A\n"
+                   "trans A -> B on go when used\n"
+                   "trans B -> A on go when not\n")
+    target = tmp_path / "m.tm"
+    assert main(["import-fsm", str(bad), "--out", str(target)]) == 1
+    assert not target.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"{bad}:5:25: E_DUP_ID guard flag used is also a generated thimac id",
+        f"{bad}:6:25: E_SYNTAX guard flag 'not' is a guard word",
+    ]
+
 # --- project --------------------------------------------------------------------
 
 def test_project_prints_report(tmp_path, capsys):

@@ -328,3 +328,15 @@ def test_minimal_document():
     assert result.ok
     assert result.bundle.model.thimacs == ()
     assert result.bundle.events == ()
+
+
+def test_an_unnamed_model_round_trips():
+    b = dataclasses.replace(
+        parse(MINI).bundle,
+        model=dataclasses.replace(parse(MINI).bundle.model, name=""))
+    text = serialize(b)
+    assert text.startswith("model unnamed\n")
+    again = parse(text)
+    assert again.ok
+    assert again.bundle == canonicalize(b)
+    assert serialize(again.bundle) == text

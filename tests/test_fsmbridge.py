@@ -13,6 +13,7 @@ from thimac import (
     Injection,
     ThimacKind,
     TmError,
+    E_DUP_ID,
     E_NO_INITIAL,
     E_SYNTAX,
     E_UNRESOLVED_REF,
@@ -365,3 +366,51 @@ def test_state_mapping_errors_name_line_and_column():
             parse_state_mapping(text, file="map.txt")
         assert err.value.code == E_SYNTAX
         assert err.value.message == f"map.txt:{where}"
+
+
+def test_parse_fsm_positions_guard_flags_the_import_cannot_take():
+    result = parse_fsm("fsm m\nstate A\nstate B\ninitial A\n"
+                       "trans A -> B on go when used\n"
+                       "trans B -> A on go when not\n"
+                       "trans A -> A on go when st.B\n"
+                       "trans A -> A on receive when stim.receive_\n"
+                       "trans A -> A on go when expired\n"
+                       "trans A -> C on go when x.create\n"
+                       "trans A -> A on go when receive\n",
+                       file="g.fsm")
+    assert [str(d) for d in result.diagnostics] == [
+        "g.fsm:5:25: E_DUP_ID guard flag used is also a generated thimac id",
+        "g.fsm:6:25: E_SYNTAX guard flag 'not' is a guard word",
+        "g.fsm:7:25: E_DUP_ID guard flag st.B is also a generated thimac id",
+        "g.fsm:8:30: E_DUP_ID guard flag stim.receive_ is also a generated "
+        "thimac id",
+        "g.fsm:9:25: E_SYNTAX guard flag 'expired' is a guard word",
+        "g.fsm:10:12: E_UNRESOLVED_REF unknown state C",
+        "g.fsm:10:25: E_SYNTAX guard flag 'x.create' must not end in an "
+        "action name",
+        "g.fsm:11:25: E_SYNTAX guard flag 'receive' must not end in an "
+        "action name",
+    ]
+    assert {d.code for d in result.diagnostics} == {
+        E_DUP_ID, E_SYNTAX, E_UNRESOLVED_REF}
+
+
+def test_guard_flags_outside_the_generated_ids_import():
+    # `st.` names no state here, so the flag collides with nothing
+    result = parse_fsm("fsm m\nstate A\ninitial A\n"
+                       "trans A -> A on go when st.Nope\n"
+                       "trans A -> A on stop when usedUp\n")
+    assert result.ok, [str(d) for d in result.diagnostics]
+    bundle = fsm_to_tm(result.spec)
+    flags = [t.id for t in bundle.model.thimacs
+             if t.kind == ThimacKind.FLAG]
+    assert flags == ["st.Nope", "usedUp"]
+    assert parse(serialize(bundle)).ok
+
+
+def test_fsm_to_tm_still_validates_what_it_builds():
+    spec = FsmSpec("m", ("A",), "A", (FsmTransition("A", "A", "go", "used"),))
+    with pytest.raises(TmError) as err:
+        fsm_to_tm(spec)
+    assert err.value.code == E_SYNTAX
+    assert "E_DUP_ID duplicate thimac id used" in str(err.value)

@@ -427,3 +427,26 @@ def test_names_follow_the_identifier_rule():
     # a machine may take a guard word, and an unnamed model is allowed
     ok = bundle(thimacs=[machine("not")])
     assert validate_model(replace(ok, model=replace(ok.model, name=""))) == []
+
+
+@pytest.mark.parametrize("value", ["2", 2.0, True, None])
+def test_counter_comparisons_need_integers(value):
+    b = bundle(thimacs=[machine("M"), counter("c")],
+               triggers=[TriggerEdge(ref("M.process"), ref("c.create"),
+                                     Effect.INC,
+                                     (CounterCmp("c", "<", value),))])
+    diags = validate_model(b, "f.tm", {("trigger", 0): (4, 1)})
+    assert [str(d) for d in diags] == [
+        f"f.tm:4:1: E_SYNTAX guard compares c with {value!r}, "
+        "not an integer"]
+    ok = replace(b, model=replace(b.model, triggers=(replace(
+        b.model.triggers[0], guard=(CounterCmp("c", "<", 2),)),)))
+    assert validate_model(ok) == []
+
+
+def test_an_empty_model_name_is_canonically_unnamed():
+    b = bundle(thimacs=[machine("M")])
+    unnamed = replace(b, model=replace(b.model, name=""))
+    assert canonicalize(unnamed).model.name == "unnamed"
+    assert canonicalize(unnamed) == canonicalize(
+        replace(b, model=replace(b.model, name="unnamed")))

@@ -102,3 +102,20 @@ def test_validated_bundles_round_trip_through_a_file(tmp_path_factory,
     result = parse_file(path)
     assert result.ok, [str(d) for d in result.diagnostics]
     assert result.bundle == canonicalize(b)
+
+
+@PROPERTY
+@given(st.integers(0, 10**6), LABELS)
+def test_unnamed_bundles_round_trip_through_a_file(tmp_path_factory, seed,
+                                                   label):
+    base = random_bundle(random.Random(seed), seed)
+    b = renamed(base, lambda n: "" if n == base.model.name else n,
+                lambda _label: label)
+    assert b.model.name == ""
+    assert not has_errors(validate_model(b))
+    path = tmp_path_factory.getbasetemp() / "unnamed.tm"
+    path.write_text(serialize(b), encoding="utf-8")
+    result = parse_file(path)
+    assert result.ok, [str(d) for d in result.diagnostics]
+    assert result.bundle == canonicalize(b)
+    assert result.bundle.model.name == "unnamed"
