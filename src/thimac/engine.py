@@ -202,6 +202,8 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
     token placements; None when the event cannot fire (failed guards,
     missing tokens, occupied stage)."""
     info = prog.info[eid]
+    if info.writes is None:
+        info.plan_firing(prog.thimacs)
     for guard in info.gates:
         if not _eval_guard(guard, stores):
             return None

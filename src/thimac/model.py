@@ -544,12 +544,13 @@ class EventInfo:
     malformed), progression target, gating guards, trigger firing order,
     and the flags and timers it writes as ("store", id) keys (counters
     commute, so are left out).  `model.event_info(event)` computes it
-    once per model; the gates, firing order and writes wait for their
-    first use, which validation never makes.  It keeps the model's
-    thimac table but not the model, so no reference cycle forms."""
+    once per model.  The gates, firing order and writes stay None until
+    `plan_firing`, which the engine calls when it first resolves the
+    event, so validation and events that never pend skip that work.  It
+    holds no reference to the model, so no reference cycle forms."""
 
     def __init__(self, model: StaticModel, event: Event):
-        self._thimacs = tmap = model._by_id
+        tmap = model._by_id
         self.event = event
         self.region = region = induced_region(model, event.region)
         paths, self.reason = decompose_flows(region)
@@ -578,37 +579,40 @@ class EventInfo:
                 self.progress_thimac = min(deep)
                 self.progress_target = max(stages[self.progress_thimac],
                                            key=STAGE_DEPTH.get)
+        self.gates = self.apply_order = self.writes = None
 
-    @cached_property
-    def gates(self) -> tuple:
-        """Gating guards, all of which must hold: effectful triggers gate
-        unless they share their source and target with another induced
-        trigger; signals gate when they point at a path head, or
-        anywhere in a flow-less region."""
+    def plan_firing(self, tmap):
+        """Fill in the gates, firing order and writes, once; `tmap` is
+        the model's thimac table."""
+        if self.writes is not None:
+            return
         region = self.region
+        if not region.triggers:
+            self.gates = self.apply_order = ()
+            self.writes = frozenset()
+            return
+        # gating guards, all of which must hold: effectful triggers gate
+        # unless they share their source and target with another induced
+        # trigger; signals gate when they point at a path head, or
+        # anywhere in a flow-less region
         groups: dict = {}
         for t in region.triggers:
             groups.setdefault((t.src, t.dst), []).append(t)
         heads = {p[0] for p in self.paths or ()}
-        return tuple(
+        self.gates = tuple(
             members[0].guard for (_, dst), members in groups.items()
             if len(members) == 1 and (members[0].effect is not None
                                       or dst in heads or not region.flows))
+        self.apply_order = tuple(sorted(region.triggers, key=trigger_key))
 
-    @cached_property
-    def apply_order(self) -> tuple:
-        return tuple(sorted(self.region.triggers, key=trigger_key))
-
-    @cached_property
-    def writes(self) -> frozenset:
         writes = set()
-        for t in self.region.triggers:
-            target = self._thimacs.get(t.dst.thimac)
+        for t in region.triggers:
+            target = tmap.get(t.dst.thimac)
             if t.effect in (Effect.SET, Effect.CLEAR) or (
                     t.effect in (Effect.RESET, Effect.START)
                     and target is not None and target.kind == ThimacKind.TIMER):
                 writes.add(("store", t.dst.thimac))
-        return frozenset(writes)
+        self.writes = frozenset(writes)
 
 
 # ---------------------------------------------------------------------------

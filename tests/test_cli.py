@@ -152,7 +152,6 @@ def test_import_fsm_refuses_a_name_that_is_not_an_identifier(tmp_path,
     ]
 
 
-
 def test_import_fsm_positions_a_guard_flag_it_cannot_take(tmp_path, capsys):
     bad = tmp_path / "bad.fsm"
     bad.write_text("fsm m\nstate A\nstate B\ninitial A\n"
@@ -165,6 +164,7 @@ def test_import_fsm_positions_a_guard_flag_it_cannot_take(tmp_path, capsys):
         f"{bad}:5:25: E_DUP_ID guard flag used is also a generated thimac id",
         f"{bad}:6:25: E_SYNTAX guard flag 'not' is a guard word",
     ]
+
 
 # --- project --------------------------------------------------------------------
 

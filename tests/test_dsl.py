@@ -331,9 +331,9 @@ def test_minimal_document():
 
 
 def test_an_unnamed_model_round_trips():
+    named = parse(MINI).bundle
     b = dataclasses.replace(
-        parse(MINI).bundle,
-        model=dataclasses.replace(parse(MINI).bundle.model, name=""))
+        named, model=dataclasses.replace(named.model, name=""))
     text = serialize(b)
     assert text.startswith("model unnamed\n")
     again = parse(text)

@@ -442,11 +442,3 @@ def test_counter_comparisons_need_integers(value):
     ok = replace(b, model=replace(b.model, triggers=(replace(
         b.model.triggers[0], guard=(CounterCmp("c", "<", 2),)),)))
     assert validate_model(ok) == []
-
-
-def test_an_empty_model_name_is_canonically_unnamed():
-    b = bundle(thimacs=[machine("M")])
-    unnamed = replace(b, model=replace(b.model, name=""))
-    assert canonicalize(unnamed).model.name == "unnamed"
-    assert canonicalize(unnamed) == canonicalize(
-        replace(b, model=replace(b.model, name="unnamed")))
