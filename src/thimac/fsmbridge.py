@@ -120,7 +120,8 @@ def _misfit(head, words, shape):
 def parse_fsm(text: str, file: str = "<fsm>") -> FsmParseResult:
     """Line-based parse; returns an FsmSpec or positioned diagnostics.
     Names are model identifiers, and comments and whitespace follow the
-    model format."""
+    model format.  A guard flag may not be a thimac id `fsm_to_tm`
+    generates, a guard word, or a name ending in an action."""
     lines, diags = lex_lines(text, file)
     once = {}       # the fsm and initial lines' name tokens
     states = {}

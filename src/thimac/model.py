@@ -530,6 +530,11 @@ def region_paths(model: StaticModel, event: Event):
     return info.paths
 
 
+# Effects that write a flag, and those that write a timer when they
+# target one (a counter reset commutes with other counter effects).
+_FLAG_EFFECTS = frozenset({Effect.SET, Effect.CLEAR})
+_TIMER_EFFECTS = frozenset({Effect.RESET, Effect.START})
+
 # Resting stages of a token inside a thimac, shallow to deep.
 STAGE_DEPTH = {
     ActionKind.RELEASE: 0,
@@ -586,8 +591,8 @@ class EventInfo:
         the model's thimac table."""
         if self.writes is not None:
             return
-        region = self.region
-        if not region.triggers:
+        triggers = self.region.triggers
+        if not triggers:
             self.gates = self.apply_order = ()
             self.writes = frozenset()
             return
@@ -596,23 +601,21 @@ class EventInfo:
         # trigger; signals gate when they point at a path head, or
         # anywhere in a flow-less region
         groups: dict = {}
-        for t in region.triggers:
+        for t in triggers:
             groups.setdefault((t.src, t.dst), []).append(t)
-        heads = {p[0] for p in self.paths or ()}
-        self.gates = tuple(
+        heads = {p[0] for p in self.paths}
+        every_signal = not self.region.flows
+        self.gates = tuple([
             members[0].guard for (_, dst), members in groups.items()
             if len(members) == 1 and (members[0].effect is not None
-                                      or dst in heads or not region.flows))
-        self.apply_order = tuple(sorted(region.triggers, key=trigger_key))
-
-        writes = set()
-        for t in region.triggers:
-            target = tmap.get(t.dst.thimac)
-            if t.effect in (Effect.SET, Effect.CLEAR) or (
-                    t.effect in (Effect.RESET, Effect.START)
-                    and target is not None and target.kind == ThimacKind.TIMER):
-                writes.add(("store", t.dst.thimac))
-        self.writes = frozenset(writes)
+                                      or every_signal or dst in heads)])
+        self.apply_order = tuple(sorted(triggers, key=trigger_key))
+        self.writes = frozenset([
+            ("store", t.dst.thimac) for t in triggers
+            if t.effect in _FLAG_EFFECTS or (
+                t.effect in _TIMER_EFFECTS
+                and (target := tmap.get(t.dst.thimac)) is not None
+                and target.kind is ThimacKind.TIMER)])
 
 
 # ---------------------------------------------------------------------------
