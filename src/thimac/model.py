@@ -603,7 +603,7 @@ class EventInfo:
         groups: dict = {}
         for t in triggers:
             groups.setdefault((t.src, t.dst), []).append(t)
-        heads = {p[0] for p in self.paths}
+        heads = {p[0] for p in self.paths or ()}
         every_signal = not self.region.flows
         self.gates = tuple([
             members[0].guard for (_, dst), members in groups.items()
