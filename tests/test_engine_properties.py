@@ -1,0 +1,218 @@
+"""Semantic properties of the tick engine, checked on generated runs.
+
+Each run is criterion 6's `random_bundle` with a schedule drawn from the
+same seed: up to eight tokens in ticks 1-4, landing in the source or in
+a machine, so several tokens often arrive in one tick and pending
+instances tie.  Examples are derandomized, so every run checks the same
+inputs; `data/engine_trace_digests.json` pins the traces of seeds
+0-299 so a change to the engine must keep them bit-identical.
+"""
+
+import copy
+import dataclasses
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from thimac import E_COUNTER_RANGE, Injection, ThimacKind, TmError
+from thimac.engine import enabled_events, format_trace_records, init, quiescent, step
+
+from test_acceptance import random_bundle
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+SEEDS = st.integers(0, 10**6)
+MAX_TICKS = 40
+DIGESTS = Path(__file__).resolve().parent / "data" / "engine_trace_digests.json"
+
+
+def drawn_run(seed):
+    """Criterion 6's random bundle for `seed` with a schedule of up to
+    eight tokens in ticks 1-4, each landing in the source or a machine."""
+    rng = random.Random(seed)
+    bundle = random_bundle(rng, seed)
+    targets = ["env"] + [t.id for t in bundle.model.thimacs
+                         if t.kind == ThimacKind.MACHINE]
+    schedule = tuple(Injection(rng.randint(1, 4), rng.choice(targets), f"t{j}")
+                     for j in range(rng.randint(0, 8)))
+    return dataclasses.replace(bundle, schedule=schedule)
+
+
+def trace_of(bundle, watch=None):
+    """Step `bundle` to quiescence or MAX_TICKS.  Returns (trace, last
+    configuration, error code or None); `watch(pre, cfg, entry)` sees
+    every tick."""
+    cfg = init(bundle)
+    trace = []
+    try:
+        while not quiescent(bundle, cfg) and cfg.tick < MAX_TICKS:
+            pre = cfg
+            cfg, entry = step(bundle, pre)
+            trace.append(entry)
+            if watch is not None:
+                watch(pre, cfg, entry)
+    except TmError as err:
+        return trace, cfg, err.code
+    return trace, cfg, None
+
+
+def fired(trace, rename=lambda label: label):
+    return [(e.tick, [(f.event, None if f.subject is None else rename(f.subject),
+                       f.bookkeeping) for f in e.fired]) for e in trace]
+
+
+def resting(cfg, rename=lambda label: label):
+    return {rename(label): (tok.thimac, tok.stage, tok.injected_at)
+            for label, tok in cfg.tokens.items()}
+
+
+def run_digest(bundle) -> str:
+    """Digest of a run's trace records, end state and error code."""
+    trace, cfg, error = trace_of(bundle)
+    state = [cfg.tick, sorted(cfg.counters.items()), sorted(cfg.flags.items()),
+             sorted((tid, ts.remaining, ts.expired)
+                    for tid, ts in cfg.timers.items()),
+             sorted((label, tok.thimac, tok.stage and tok.stage.value,
+                     tok.seq, tok.injected_at)
+                    for label, tok in cfg.tokens.items()),
+             sorted(cfg.pending, key=lambda p: (p[0], p[1] or "")), error]
+    text = format_trace_records(trace) + json.dumps(state)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@PROPERTY
+@given(SEEDS)
+def test_reversed_labels_give_the_renamed_trace(seed):
+    b = drawn_run(seed)
+    labels = sorted(inj.label for inj in b.schedule)
+    flip = dict(zip(labels, reversed(labels)))
+    flipped = dataclasses.replace(b, schedule=tuple(
+        dataclasses.replace(inj, label=flip[inj.label]) for inj in b.schedule))
+    trace, cfg, error = trace_of(b)
+    trace2, cfg2, error2 = trace_of(flipped)
+    assert fired(trace2) == fired(trace, flip.get)
+    assert resting(cfg2) == resting(cfg, flip.get)
+    assert error2 == error
+
+
+@PROPERTY
+@given(SEEDS, st.randoms(use_true_random=False))
+def test_declaration_order_decides_nothing(seed, rng):
+    # random_bundle leaves at most one event out of its priority list,
+    # so the order of events decides no rank either
+    b = drawn_run(seed)
+
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return tuple(items)
+
+    m = b.model
+    model = dataclasses.replace(m, thimacs=shuffled(m.thimacs),
+                                flows=shuffled(m.flows),
+                                triggers=shuffled(m.triggers))
+    b2 = dataclasses.replace(b, model=model, events=shuffled(b.events),
+                             behavior=shuffled(b.behavior))
+    trace, cfg, error = trace_of(b)
+    trace2, cfg2, error2 = trace_of(b2)
+    assert fired(trace2) == fired(trace)
+    assert resting(cfg2) == resting(cfg)
+    assert error2 == error
+
+
+@PROPERTY
+@given(SEEDS)
+def test_a_replayed_run_gives_the_same_trace(seed):
+    b = drawn_run(seed)
+    trace, cfg, error = trace_of(b)
+    trace2, cfg2, error2 = trace_of(b)
+    assert trace2 == trace
+    assert cfg2 == cfg
+    assert error2 == error
+
+
+@PROPERTY
+@given(SEEDS)
+def test_counters_stay_in_range_or_the_run_aborts(seed):
+    b = drawn_run(seed)
+    ranges = {t.id: (t.lo, t.hi) for t in b.model.thimacs
+              if t.kind == ThimacKind.COUNTER}
+
+    def watch(pre, cfg, entry):
+        for tid, (lo, hi) in ranges.items():
+            assert lo <= cfg.counters[tid] <= hi
+
+    _trace, _cfg, error = trace_of(b, watch)
+    assert error in (None, E_COUNTER_RANGE)
+
+
+@PROPERTY
+@given(SEEDS)
+def test_tokens_are_conserved(seed):
+    b = drawn_run(seed)
+    token_kinds = {t.id for t in b.model.thimacs if not t.is_store}
+
+    def watch(pre, cfg, entry):
+        arrived = {inj.label for inj in b.schedule if inj.tick <= cfg.tick}
+        assert set(cfg.tokens) == arrived
+        for tok in cfg.tokens.values():
+            assert (tok.thimac is None) == (tok.stage is None)
+            assert tok.thimac is None or tok.thimac in token_kinds
+        # a token that has left never comes back
+        for label, tok in pre.tokens.items():
+            if tok.thimac is None:
+                assert cfg.tokens[label].thimac is None
+
+    trace_of(b, watch)
+
+
+@PROPERTY
+@given(SEEDS)
+def test_every_fired_instance_was_enabled(seed):
+    b = drawn_run(seed)
+
+    def watch(pre, cfg, entry):
+        enabled = set(enabled_events(b, pre))
+        for f in entry.fired:
+            if not f.bookkeeping:
+                assert (f.event, f.subject) in enabled
+
+    trace_of(b, watch)
+
+
+@PROPERTY
+@given(SEEDS)
+def test_stepping_leaves_its_input_configuration_alone(seed):
+    b = drawn_run(seed)
+    cfg = init(b)
+    while not quiescent(b, cfg) and cfg.tick < MAX_TICKS:
+        before = copy.deepcopy(cfg)
+        enabled_events(b, cfg)
+        assert cfg == before
+        try:
+            nxt, _entry = step(b, cfg)
+        except TmError:
+            assert cfg == before
+            return
+        assert cfg == before
+        cfg = nxt
+
+
+def test_drawn_runs_keep_their_recorded_traces():
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    got = {str(seed): run_digest(drawn_run(seed)) for seed in range(300)}
+    changed = sorted((int(s) for s in expected if got.get(s) != expected[s]))
+    assert len(expected) == 300
+    assert not changed, f"traces changed for seeds {changed[:10]}"
+
+
+def test_drawn_runs_tie_tokens():
+    # most drawn schedules put several tokens into one tick
+    tied = 0
+    for seed in range(300):
+        ticks = [inj.tick for inj in drawn_run(seed).schedule]
+        tied += len(ticks) > len(set(ticks))
+    assert tied > 150
