@@ -146,7 +146,7 @@ def project_config(bundle: ModelBundle, projection, config: Configuration):
     """Project a configuration onto named components, in declaration
     order: counters give their value, flags their truth, token-bearing
     thimacs their status."""
-    tmap = bundle.model.thimac_map()
+    tmap = bundle.model._by_id
     out = []
     for tid in projection:
         t = tmap.get(tid)

@@ -8,8 +8,10 @@ and the pending event instances for the next tick.  Each step:
    pends every event whose region touches the target thimac;
 2. resolves each pending instance, in priority order, against the start
    of the tick: guards read the stores of the previous configuration and
-   binding reads the token placements after injection.  An instance that
-   fails its guards or cannot bind tokens lapses, one whose writes
+   binding reads the token placements after injection.  This opening
+   reads the previous configuration in place and changes nothing in it;
+   the step copies it only once everything is resolved.  An instance
+   that fails its guards or cannot bind tokens lapses, one whose writes
    overlap an earlier firing this tick defers to the next tick, and the
    rest fire; `enabled_events` runs this same opening and stops short of
    conflicts and firing;
@@ -41,7 +43,9 @@ timer still counting.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .dsl import _escape, read_string
@@ -164,10 +168,13 @@ def _eval_guard(guard, stores: Configuration) -> bool:
     return True
 
 
-def _placements(cfg: Configuration) -> dict:
-    """Label -> (thimac, stage, seq) for every token still in the machine."""
-    return {label: (tok.thimac, tok.stage, tok.seq)
-            for label, tok in cfg.tokens.items() if tok.alive}
+def _placements(tokens) -> dict:
+    """Thimac -> label -> (stage, seq) for the tokens still in the machine."""
+    places = defaultdict(dict)
+    for tok in tokens:
+        if tok.thimac is not None:
+            places[tok.thimac][tok.label] = (tok.stage, tok.seq)
+    return places
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +193,21 @@ class _Binding:
 
 
 def _pick(candidates, deepest: bool):
-    """Token choice among (label, stage, seq): deepest stage first for
-    flow sources, shallowest first for progression; ties go to the
-    oldest injection."""
+    """Token choice among (label, (stage, seq)) pairs: deepest stage
+    first for flow sources, shallowest first for progression; ties go
+    to the oldest injection."""
     if not candidates:
         return None
     sign = -1 if deepest else 1
     return min(candidates,
-               key=lambda c: (sign * STAGE_DEPTH[c[1]], c[2]))[0]
+               key=lambda c: (sign * STAGE_DEPTH[c[1][0]], c[1][1]))[0]
 
 
 def _resolve(prog: Program, eid: str, subj, stores: Configuration,
              places: dict):
     """Resolve one pending instance against the guards' stores and the
-    token placements; None when the event cannot fire (failed guards,
-    missing tokens, occupied stage)."""
+    token placements by thimac; None when the event cannot fire (failed
+    guards, missing tokens, occupied stage)."""
     info = prog.info[eid]
     if info.writes is None:
         info.plan_firing(prog.thimacs)
@@ -212,24 +219,20 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
         return _Binding(info, subj, (), info.writes)
 
     if info.mode == SubjectMode.FLOW:
-        by_thimac = {}
-        for label, (tid, stage, seq) in places.items():
-            by_thimac.setdefault(tid, []).append((label, stage, seq))
-        primary_src = info.paths[0][0].thimac
+        here = places.get(info.paths[0][0].thimac, {})
         if subj is not None:
-            spot = places.get(subj)
-            if spot is None or spot[0] != primary_src:
+            if subj not in here:
                 return None
             primary = subj
         else:
-            primary = _pick(by_thimac.get(primary_src, []), deepest=True)
+            primary = _pick(here.items(), deepest=True)
             if primary is None:
                 return None
         moves = [(primary, info.paths[0])]
         bound = {primary}
         for path in info.paths[1:]:
-            src = path[0].thimac
-            pool = [c for c in by_thimac.get(src, []) if c[0] not in bound]
+            pool = [c for c in places.get(path[0].thimac, {}).items()
+                    if c[0] not in bound]
             stim = _pick(pool, deepest=True)
             if stim is None:
                 return None
@@ -241,24 +244,22 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
     # progression
     tid = info.progress_thimac
     target = info.progress_target
-    here = [(label, stage, seq)
-            for label, (t, stage, seq) in places.items() if t == tid]
+    here = places.get(tid, {})
     if subj is not None:
-        spot = places.get(subj)
-        if spot is None or spot[0] != tid:
+        if subj not in here:
             return None
         chosen = subj
     else:
-        chosen = _pick(here, deepest=False)
+        chosen = _pick(here.items(), deepest=False)
         if chosen is None:
             return None
-    stage = places[chosen][1]
+    stage = here[chosen][0]
     if STAGE_DEPTH[stage] > STAGE_DEPTH[target]:
         return None
     enters = stage != target and target == ActionKind.PROCESS
     if enters:
-        for label, (t, s, _) in places.items():
-            if t == tid and s == ActionKind.PROCESS and label != chosen:
+        for label, (s, _) in here.items():
+            if s == ActionKind.PROCESS and label != chosen:
                 return None
     writes = info.writes | {("token", chosen)}
     if enters:
@@ -317,12 +318,12 @@ def _move_tokens(prog: Program, binding: _Binding, cfg: Configuration):
 
 
 def _fire(prog: Program, initial: dict, eid: str, binding: _Binding,
-          cfg: Configuration, fired: list, write_sets: list, cofired: set):
+          cfg: Configuration, fired: list, written: set, cofired: set):
     event = prog.events[eid]
     _move_tokens(prog, binding, cfg)
     _apply_triggers(prog, binding.info, cfg, initial)
     fired.append(FiredEvent(eid, binding.subject, event.bookkeeping))
-    write_sets.append(binding.write_set)
+    written |= binding.write_set
     context = binding.subject
     for succ_id in prog.successors.get(eid, ()):
         succ = prog.events[succ_id]
@@ -330,14 +331,14 @@ def _fire(prog: Program, initial: dict, eid: str, binding: _Binding,
             if succ_id in cofired:
                 continue
             cofired.add(succ_id)
-            places = _placements(cfg)
+            places = _placements(cfg.tokens.values())
             b2 = _resolve(prog, succ_id, context, cfg, places)
             if b2 is None and context is not None:
                 # a co-fire may rebind mid-tick when the handed-down
                 # subject no longer fits
                 b2 = _resolve(prog, succ_id, None, cfg, places)
             if b2 is not None:
-                _fire(prog, initial, succ_id, b2, cfg, fired, write_sets,
+                _fire(prog, initial, succ_id, b2, cfg, fired, written,
                       cofired)
         else:
             bearing = prog.info[succ_id].mode != SubjectMode.SUBJECTLESS
@@ -368,56 +369,64 @@ def init(bundle: ModelBundle) -> Configuration:
                          timers, {}, set())
 
 
-def _inject(prog: Program, schedule, cfg: Configuration, tick: int):
-    for inj in schedule:
-        if inj.tick != tick:
-            continue
-        if inj.label in cfg.tokens:
+def _inject(prog: Program, arrivals, config: Configuration, tick: int):
+    """Label -> token for this tick's injections `arrivals`, and the
+    instances pending after `config` with the ones they pend added."""
+    new = {}
+    pending = config.pending
+    for inj in arrivals:
+        if inj.label in config.tokens or inj.label in new:
             raise TmError(E_DUP_ID,
                           f"token label {inj.label!r} injected twice")
         acts = prog.thimacs[inj.thimac].effective_actions
         stage = (ActionKind.RECEIVE if ActionKind.RECEIVE in acts
                  else ActionKind.RELEASE)
-        cfg.tokens[inj.label] = Token(inj.label, inj.thimac, stage,
-                                      len(cfg.tokens), tick)
-        for eid in prog.injection_events.get(inj.thimac, ()):
-            cfg.pending.add((eid, None))
+        new[inj.label] = Token(inj.label, inj.thimac, stage,
+                               len(config.tokens) + len(new), tick)
+        pending = pending.union(
+            (eid, None) for eid in prog.injection_events.get(inj.thimac, ()))
+    return new, pending
 
 
 def _open_tick(bundle: ModelBundle, config: Configuration):
-    """Start the tick after `config`: inject its tokens, then take every
-    pending instance in priority order and resolve it against the start
-    of the tick, that is the stores of `config` (a step works on a copy,
-    and injection moves no store) and the placements after injection.
-    Returns the program, the working copy with nothing left pending, and
+    """Start the tick after `config` without changing it: inject this
+    tick's tokens, then take every pending instance in priority order
+    and resolve it against the start of the tick, that is the stores of
+    `config` (injection moves no store) and the placements after
+    injection.  Returns the program, the tick, the injected tokens and
     (event, pended subject, binding or None) per instance."""
     prog = compile(bundle)
-    cfg = config.copy()
-    cfg.tick += 1
-    _inject(prog, bundle.schedule, cfg, cfg.tick)
-    places = _placements(cfg)
+    tick = config.tick + 1
+    new, pending = _inject(prog, bundle.arrivals.get(tick, ()), config, tick)
     last = len(prog.priority)
-    pending = sorted(cfg.pending, key=lambda entry: (
+    pending = sorted(pending, key=lambda entry: (
         prog.priority.get(entry[0], last), entry[1] or ""))
-    cfg.pending = set()
-    return prog, cfg, [(eid, subj, _resolve(prog, eid, subj, config, places))
-                       for eid, subj in pending]
+    if not pending:
+        return prog, tick, new, []
+    places = _placements(chain(config.tokens.values(), new.values()))
+    return prog, tick, new, [
+        (eid, subj, _resolve(prog, eid, subj, config, places))
+        for eid, subj in pending]
 
 
 def step(bundle: ModelBundle, config: Configuration):
-    """Execute one tick; returns (new configuration, trace entry)."""
-    prog, cfg, entries = _open_tick(bundle, config)
-    tick = cfg.tick
+    """Execute one tick; returns (new configuration, trace entry).  The
+    tick is resolved against `config` itself, then fired on its copy."""
+    prog, tick, new, entries = _open_tick(bundle, config)
+    cfg = config.copy()
+    cfg.tick = tick
+    cfg.tokens.update(new)
+    cfg.pending = set()
     fired = []
-    write_sets = []
+    written = set()
     cofired = set()
     for eid, subj, binding in entries:
         if binding is None:
             continue
-        if any(binding.write_set & ws for ws in write_sets):
+        if not written.isdisjoint(binding.write_set):
             cfg.pending.add((eid, subj))
             continue
-        _fire(prog, bundle.initial, eid, binding, cfg, fired, write_sets,
+        _fire(prog, bundle.initial, eid, binding, cfg, fired, written,
               cofired)
 
     # tokens injected this tick that never left their source drain away
@@ -448,10 +457,11 @@ def step(bundle: ModelBundle, config: Configuration):
 
 
 def quiescent(bundle: ModelBundle, config: Configuration) -> bool:
-    """Nothing pending, no injections ahead, no timer still counting."""
+    """Nothing pending, no injections ahead (the bundle's last scheduled
+    tick is done), no timer still counting."""
     if config.pending:
         return False
-    if any(inj.tick > config.tick for inj in bundle.schedule):
+    if config.tick < bundle.last_arrival:
         return False
     if any(ts.active for ts in config.timers.values()):
         return False
@@ -475,7 +485,7 @@ def enabled_events(bundle: ModelBundle, config: Configuration):
     """Instances that could fire in the upcoming tick, in priority
     order, with the subjects they would bind.  Includes the injections
     scheduled for that tick; ignores conflicts."""
-    return [(eid, b.subject) for eid, _subj, b in _open_tick(bundle, config)[2]
+    return [(eid, b.subject) for eid, _subj, b in _open_tick(bundle, config)[3]
             if b is not None]
 
 

@@ -318,6 +318,19 @@ class ModelBundle:
             program = cache["_program"] = Program(self)
         return program
 
+    @cached_property
+    def arrivals(self) -> dict:
+        """Tick -> the injections scheduled for it, in schedule order."""
+        table: dict = {}
+        for inj in self.schedule:
+            table.setdefault(inj.tick, []).append(inj)
+        return table
+
+    @cached_property
+    def last_arrival(self) -> int:
+        """The last tick with an injection; 0 for an empty schedule."""
+        return max(self.arrivals, default=0)
+
 
 def successor_table(edges) -> dict:
     """Chronology edges as event id -> sorted successor ids."""
@@ -823,8 +836,12 @@ def validate_model(bundle, file: str = "<model>", positions=None):
         if problem is not None:
             emit(("initial", tid), *problem)
 
+    labels = set()
     for i, inj in enumerate(bundle.schedule):
         key = ("schedule", i)
+        if inj.label in labels:
+            emit(key, E_DUP_ID, f"token label {inj.label!r} injected twice")
+        labels.add(inj.label)
         t = tmap.get(inj.thimac)
         if t is None or t.kind not in TOKEN_KINDS:
             emit(key, E_UNRESOLVED_REF,

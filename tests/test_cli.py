@@ -47,6 +47,20 @@ def test_validate_non_utf8_file(tmp_path, capsys):
         f"(byte 0xe9: invalid continuation byte)"]
 
 
+def test_validate_positions_a_label_injected_twice(tmp_path, capsys):
+    text = Path(DOOR_TM).read_text(encoding="utf-8")
+    assert '  at 5 inject stim.Close "c1";\n' in text
+    bad = tmp_path / "twice.tm"
+    bad.write_text(text.replace('  at 5 inject stim.Close "c1";\n',
+                                '  at 5 inject stim.Close "o1";\n'))
+    line = text[:text.index('  at 5 inject')].count("\n") + 1
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{bad}:{line}:3: E_DUP_ID token label 'o1' injected twice"]
+    assert main(["run", str(bad)]) == 1
+    assert f"{bad}:{line}:3: E_DUP_ID" in capsys.readouterr().err
+
+
 # --- run -----------------------------------------------------------------------
 
 def test_run_emits_trace_records(capsys):

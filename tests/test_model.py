@@ -246,6 +246,17 @@ def test_schedule_targets():
     assert codes(validate_model(b)) == [E_SYNTAX]
 
 
+def test_label_injected_twice_is_positioned():
+    b = replace(clean_bundle(), schedule=(
+        Injection(1, "env", "a"), Injection(2, "env", "b"),
+        Injection(3, "env", "a")))
+    diags = validate_model(b, "m.tm", {("schedule", 2): (9, 3)})
+    assert [str(d) for d in diags] == [
+        "m.tm:9:3: E_DUP_ID token label 'a' injected twice"]
+    same_tick = replace(b, schedule=(Injection(1, "env", "a"),) * 2)
+    assert codes(validate_model(same_tick)) == [E_DUP_ID]
+
+
 def test_validate_order_independent():
     b = clean_bundle()
     flipped = bundle(

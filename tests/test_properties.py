@@ -109,8 +109,9 @@ def test_validated_bundles_round_trip_through_a_file(tmp_path_factory,
 def test_unnamed_bundles_round_trip_through_a_file(tmp_path_factory, seed,
                                                    label):
     base = random_bundle(random.Random(seed), seed)
+    # prefix rather than replace, so token labels stay distinct
     b = renamed(base, lambda n: "" if n == base.model.name else n,
-                lambda _label: label)
+                lambda old: label + old)
     assert b.model.name == ""
     assert not has_errors(validate_model(b))
     path = tmp_path_factory.getbasetemp() / "unnamed.tm"
