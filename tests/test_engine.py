@@ -1,7 +1,9 @@
 """Execution semantics: enablement, conflicts, movement, timers, traces."""
 
+import copy
 import dataclasses
 import operator
+import pickle
 from pathlib import Path
 
 import pytest
@@ -364,6 +366,161 @@ def test_counter_guard_follows_comparison(op, value):
     _cfg, entry = step(b, init(b))
     expected = [("arrive", "t1")] if PY_COMPARE[op](value, 2) else []
     assert fired_list(entry) == expected
+
+
+# Each guard-atom kind with a store that makes it false at the start of
+# a step: (the store, the atom, a change to the start configuration that
+# makes it hold, the trigger effect that flips it mid-tick).
+def _raise_k(cfg):
+    cfg.counters["k"] = 1
+
+
+def _raise_f(cfg):
+    cfg.flags["f"] = True
+
+
+def _lower_f(cfg):
+    cfg.flags["f"] = False
+
+
+def _expire_tm(cfg):
+    cfg.timers["tm"].expired = True
+
+
+GUARD_ATOMS = {
+    "counter": (counter("k", hi=5), CounterCmp("k", ">=", 1), _raise_k,
+                Effect.INC),
+    "flag": (flag("f"), FlagTest("f"), _raise_f, Effect.SET),
+    "negated flag": (flag("f", init=True), FlagTest("f", negated=True),
+                     _lower_f, Effect.CLEAR),
+    "timer expiry": (timer("tm"), TimerExpired("tm"), _expire_tm,
+                     Effect.START),
+}
+
+
+def guarded_arrival(store, triggers):
+    """An arrival into M whose region holds `store` and counter hits."""
+    return bundle(
+        thimacs=[source("env"), machine("M"), counter("hits"), store],
+        flows=[FlowEdge(ref("env.release"), ref("env.transfer")),
+               FlowEdge(ref("env.transfer"), ref("M.receive"))],
+        triggers=triggers,
+        events=[Event("arrive", frozenset({
+            ref("env.release"), ref("env.transfer"), ref("M.receive"),
+            ref("hits.create"), ref(f"{store.id}.create")}))],
+        schedule=[Injection(1, "env", "t1")],
+    )
+
+
+@pytest.mark.parametrize("holds", [False, True])
+@pytest.mark.parametrize("kind", sorted(GUARD_ATOMS))
+def test_guard_atom_gates_an_event(kind, holds):
+    store, atom, make_hold, _flip = GUARD_ATOMS[kind]
+    b = guarded_arrival(store, [TriggerEdge(
+        ref("M.receive"), ref("hits.create"), Effect.INC, (atom,))])
+    cfg = init(b)
+    if holds:
+        make_hold(cfg)
+    after, entry = step(b, cfg)
+    assert fired_list(entry) == ([("arrive", "t1")] if holds else [])
+    assert after.counters["hits"] == (1 if holds else 0)
+    assert after.tokens["t1"].alive == holds
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("kind", sorted(GUARD_ATOMS))
+def test_guard_atom_is_read_mid_tick(kind, flipped):
+    # two triggers share source and target, so neither gates; the one
+    # guarded by the atom reads the store after the flip, which comes
+    # first in canonical order ("M.receive" sorts before the store)
+    store, atom, make_hold, flip = GUARD_ATOMS[kind]
+    held = store.kind == ThimacKind.TIMER
+    source_ref = ref(f"{store.id}.create")
+    triggers = [
+        TriggerEdge(source_ref, ref("hits.create"), Effect.INC, (atom,)),
+        TriggerEdge(source_ref, ref("hits.create"), Effect.DEC,
+                    (CounterCmp("hits", "<", 0),))]
+    if flipped:
+        triggers.append(TriggerEdge(ref("M.receive"), source_ref, flip, ()))
+    b = guarded_arrival(store, triggers)
+    cfg = init(b)
+    if held:
+        make_hold(cfg)
+    after, entry = step(b, cfg)
+    assert fired_list(entry) == [("arrive", "t1")]
+    assert after.counters["hits"] == (1 if held != flipped else 0)
+
+
+def two_path_bundle(labels):
+    """One event moving two tokens out of source A: the primary path into
+    machine X, the secondary one into sink Y."""
+    return bundle(
+        thimacs=[source("A"), machine("X"), sink("Y")],
+        flows=[FlowEdge(ref("A.release"), ref("X.receive")),
+               FlowEdge(ref("A.transfer"), ref("Y.receive"))],
+        events=[Event("split", frozenset({ref("A.release"), ref("X.receive"),
+                                          ref("A.transfer"),
+                                          ref("Y.receive")}))],
+        schedule=[Injection(1, "A", label) for label in labels],
+    )
+
+
+def test_secondary_path_skips_the_bound_token():
+    b = two_path_bundle(["t1", "t2"])
+    cfg, entry = step(b, init(b))
+    assert fired_list(entry) == [("split", "t1")]
+    assert (cfg.tokens["t1"].thimac, cfg.tokens["t1"].stage) == \
+        ("X", ActionKind.RECEIVE)
+    assert not cfg.tokens["t2"].alive
+
+
+def test_secondary_path_without_a_second_token_lapses():
+    b = two_path_bundle(["t1"])
+    cfg, entry = step(b, init(b))
+    assert fired_list(entry) == []
+    assert not cfg.tokens["t1"].alive
+
+
+def test_cofire_rebinds_when_the_subject_has_left():
+    # ship/t1 sends t1 out; its bookkeeping successor work cannot take
+    # t1 any more and binds t2, which arrived earlier in the same tick
+    b = bundle(
+        thimacs=[source("env"), machine("M"), sink("out")],
+        flows=[FlowEdge(ref("env.release"), ref("env.transfer")),
+               FlowEdge(ref("env.transfer"), ref("M.receive")),
+               FlowEdge(ref("M.release"), ref("M.transfer")),
+               FlowEdge(ref("M.transfer"), ref("out.receive"))],
+        events=[Event("arrive", frozenset({ref("env.release"),
+                                           ref("env.transfer"),
+                                           ref("M.receive")})),
+                Event("ship", frozenset({ref("M.release"), ref("M.transfer"),
+                                         ref("out.receive")})),
+                Event("work", frozenset({ref("M.process")}),
+                      bookkeeping=True)],
+        behavior=[("arrive", "ship"), ("ship", "work")],
+        priority=["arrive", "ship", "work"],
+        schedule=[Injection(1, "env", "t1"), Injection(2, "env", "t2")],
+    )
+    cfg, trace = run(b)
+    assert [fired_list(e) for e in trace] == [
+        [("arrive", "t1")],
+        [("arrive", "t2"), ("ship", "t1"), ("work", "t2")],
+        [("ship", "t2")]]
+    assert [f.bookkeeping for f in trace[1].fired] == [False, False, True]
+    assert not any(tok.alive for tok in cfg.tokens.values())
+
+
+@pytest.mark.parametrize("fixture, ticks", [("assembly_line.tm", None),
+                                            ("phone_line.tm", 5)])
+def test_run_records_survive_deepcopy_and_pickle(fixture, ticks):
+    b = parse_file(FIXTURES / fixture).bundle
+    cfg, trace = run(b, max_ticks=ticks)
+    for copied in (copy.deepcopy((cfg, trace)),
+                   pickle.loads(pickle.dumps((cfg, trace)))):
+        assert copied == (cfg, trace)
+        assert repr(copied) == repr((cfg, trace))
+        # the copy steps on exactly like the original
+        assert step(b, copied[0]) == step(b, cfg)
 
 
 # --- timers -------------------------------------------------------------------
