@@ -132,7 +132,10 @@ def enumerate_states(decls):
 def machine_status(bundle: ModelBundle, config: Configuration,
                    thimac: str) -> str:
     """Blocked when the machine's block flag is raised, busy when a
-    token sits at its process action, idle otherwise."""
+    token sits at its process action, idle otherwise.  The block flag
+    of thimac `M` is the flag named `M.block`, by convention; a model
+    without one never projects `M` as blocked, and `validate_model`
+    rejects a `M.block` of any other kind."""
     if config.flags.get(f"{thimac}.block"):
         return MACHINE_BLOCKED
     for tok in config.tokens.values():
@@ -145,7 +148,7 @@ def machine_status(bundle: ModelBundle, config: Configuration,
 def project_config(bundle: ModelBundle, projection, config: Configuration):
     """Project a configuration onto named components, in declaration
     order: counters give their value, flags their truth, token-bearing
-    thimacs their status."""
+    thimacs their status.  Unknown ids and timers raise TmError."""
     tmap = bundle.model._by_id
     out = []
     for tid in projection:
@@ -157,6 +160,10 @@ def project_config(bundle: ModelBundle, projection, config: Configuration):
             out.append(config.counters[tid])
         elif t.kind == ThimacKind.FLAG:
             out.append(config.flags[tid])
+        elif t.kind == ThimacKind.TIMER:
+            raise TmError(E_UNRESOLVED_REF,
+                          f"projection names timer {tid!r}, which has no "
+                          f"projected value")
         else:
             out.append(machine_status(bundle, config, tid))
     return tuple(out)

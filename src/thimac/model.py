@@ -736,6 +736,15 @@ def validate_model(bundle, file: str = "<model>", positions=None):
             if problem is not None:
                 emit(key, *problem)
 
+    # a raised flag `M.block` projects thimac M as blocked
+    for t in tmap.values():
+        blocker = tmap.get(f"{t.id}.block")
+        if (t.kind in TOKEN_KINDS and blocker is not None
+                and blocker.kind != ThimacKind.FLAG):
+            emit(("thimac", blocker.id), E_UNRESOLVED_REF,
+                 f"{blocker.id} must be a flag: it is the block flag of "
+                 f"{t.kind.value} {t.id}")
+
     def resolve(ref: ActionRef, key) -> bool:
         problem = ref_problem(tmap, ref)
         if problem is not None:

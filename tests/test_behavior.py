@@ -183,6 +183,16 @@ def test_project_unknown_thimac():
     assert err.value.code == E_UNRESOLVED_REF
 
 
+def test_project_timer_is_an_error():
+    b = parse_file(FIXTURES / "phone_line.tm").bundle
+    cfg, _trace = run(b, max_ticks=5)
+    assert cfg.timers["dial.timer"].remaining == 5
+    with pytest.raises(TmError) as err:
+        project_config(b, ("digits.count", "dial.timer"), cfg)
+    assert err.value.code == E_UNRESOLVED_REF
+    assert "'dial.timer'" in err.value.message
+
+
 def test_reachable_configs_own_schedule():
     b = assembly()
     seen = reachable_configs(b, ASSEMBLY_PROJECTION)

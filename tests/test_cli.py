@@ -33,6 +33,20 @@ def test_validate_reports_positioned_diagnostics(tmp_path, capsys):
     assert ": E_COUNTER_RANGE " in line
 
 
+def test_validate_rejects_a_block_counter(tmp_path, capsys):
+    text = Path(ASSEMBLY).read_text(encoding="utf-8")
+    decl = "thimac M1.block kind flag { init false }\n"
+    assert decl in text
+    bad = tmp_path / "block.tm"
+    bad.write_text(text.replace(
+        decl, "thimac M1.block kind counter { range 0 .. 1 init 0 }\n"))
+    line = text[:text.index(decl)].count("\n") + 1
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == (f"{bad}:{line}:8: E_UNRESOLVED_REF M1.block must be "
+                      f"a flag: it is the block flag of machine M1")
+
+
 def test_validate_unreadable_file(capsys):
     assert main(["validate", "no/such/file.tm"]) == 2
     assert "error:" in capsys.readouterr().err

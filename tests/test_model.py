@@ -197,6 +197,24 @@ def test_guard_atom_resolution():
     assert codes(validate_model(b)) == [E_UNRESOLVED_REF]
 
 
+@pytest.mark.parametrize("kind", [ThimacKind.COUNTER, ThimacKind.TIMER,
+                                  ThimacKind.BUFFER])
+def test_block_flag_must_be_a_flag(kind):
+    blocker = Thimac("M1.block", kind, frozenset({ActionKind.RECEIVE}),
+                     hi=3, duration=2)
+    b = replace(clean_bundle(), model=replace(
+        clean_bundle().model,
+        thimacs=clean_bundle().model.thimacs + (blocker,)))
+    diags = validate_model(b, "m.tm", {("thimac", "M1.block"): (7, 1)})
+    assert [(d.line, d.col, d.code) for d in diags] == \
+        [(7, 1, E_UNRESOLVED_REF)]
+    assert "M1.block must be a flag" in diags[0].message
+    # a flag is the convention; a `.block` of a store has no owner
+    flagged = replace(b.model, thimacs=b.model.thimacs[:-1]
+                      + (flag("M1.block"), counter("c.block")))
+    assert validate_model(replace(b, model=flagged)) == []
+
+
 def test_empty_region_rejected():
     b = bundle(thimacs=[machine("M")], events=[Event("e", frozenset())])
     assert codes(validate_model(b)) == [E_EMPTY_REGION]
