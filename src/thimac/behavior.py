@@ -132,10 +132,9 @@ def enumerate_states(decls):
 def machine_status(bundle: ModelBundle, config: Configuration,
                    thimac: str) -> str:
     """Blocked when the machine's block flag is raised, busy when a
-    token sits at its process action, idle otherwise.  The block flag
-    of thimac `M` is the flag named `M.block`, by convention; a model
-    without one never projects `M` as blocked, and `validate_model`
-    rejects a `M.block` of any other kind."""
+    token sits at its process action, idle otherwise.  By convention
+    the block flag of thimac `M` is the flag `M.block` (`validate_model`
+    rejects an `M.block` of another kind); without one, never blocked."""
     if config.flags.get(f"{thimac}.block"):
         return MACHINE_BLOCKED
     for tok in config.tokens.values():

@@ -25,7 +25,8 @@ and the pending event instances for the next tick.  Each step:
    happen), other successors pend for the next tick, carrying the
    subject when they bind tokens;
 5. at tick end, tokens injected this tick that still sit in a source
-   thimac drain away, counters are checked against their ranges, and
+   thimac drain away (only this tick's injections are visited),
+   counters are checked against their ranges, and
    running timers count down; a timer reaching zero marks itself
    expired and pends the events guarded on its expiry.
 
@@ -36,13 +37,16 @@ signal contributes its guard only where it authorizes token movement,
 that is when it points at the first action of an induced flow path, or
 anywhere in a region that has no flow paths at all.
 
+Resolving and firing read flat tables: each event's firing plan, built
+when it is first resolved (`EventInfo.plan_firing`), and the successor
+table of the compiled `Program`.
+
 A run ends at quiescence: nothing pending, no injections left, and no
 timer still counting.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -53,25 +57,22 @@ from .model import (
     STAGE_DEPTH,
     STORE_KINDS,
     ActionKind,
-    CounterCmp,
     E_COUNTER_RANGE,
     E_DUP_ID,
     E_SYNTAX,
     Effect,
     EventInfo,
-    FlagTest,
     ModelBundle,
     Program,
     SubjectMode,
     ThimacKind,
-    TimerExpired,
     TmError,
     compile,
     initial_problem,
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class TimerState:
     """One timer: counting down, expired, or idle."""
 
@@ -87,7 +88,7 @@ class TimerState:
         return TimerState(self.duration, self.remaining, self.expired)
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     """A labeled token and where it rests; thimac None once exited."""
 
@@ -106,7 +107,7 @@ class Token:
                      self.injected_at)
 
 
-@dataclass
+@dataclass(slots=True)
 class Configuration:
     """Full machine state after `tick` completed ticks."""
 
@@ -128,7 +129,7 @@ class Configuration:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiredEvent:
     """One event instance that fired: id, bound subject, bookkeeping flag."""
 
@@ -137,7 +138,7 @@ class FiredEvent:
     bookkeeping: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     """Everything that fired in one tick, in firing order."""
 
@@ -150,21 +151,17 @@ class TraceEntry:
 # ---------------------------------------------------------------------------
 
 
-_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-def _eval_guard(guard, stores: Configuration) -> bool:
-    for atom in guard:
-        if isinstance(atom, CounterCmp):
-            if not _COMPARE[atom.op](stores.counters[atom.counter], atom.value):
+def _holds(checks, stores: Configuration) -> bool:
+    """Whether every typed check of a firing plan holds in `stores`."""
+    for kind, store, test, literal in checks:
+        if kind is ThimacKind.COUNTER:
+            if not test(stores.counters[store], literal):
                 return False
-        elif isinstance(atom, FlagTest):
-            if stores.flags[atom.flag] == atom.negated:
+        elif kind is ThimacKind.FLAG:
+            if stores.flags[store] == test:
                 return False
-        elif isinstance(atom, TimerExpired):
-            if not stores.timers[atom.timer].expired:
-                return False
+        elif not stores.timers[store].expired:
+            return False
     return True
 
 
@@ -182,25 +179,27 @@ def _placements(tokens) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _Binding:
     """A resolved event instance ready to fire."""
 
     info: EventInfo
     subject: Optional[str]          # recorded in the trace
-    moves: tuple                    # (label, path) pairs for flow events
+    moves: tuple                    # (label, (thimac, stage)) to rest at
     write_set: frozenset            # ("store"|"token"|"proc", id) keys
 
 
-def _pick(candidates, deepest: bool):
-    """Token choice among (label, (stage, seq)) pairs: deepest stage
-    first for flow sources, shallowest first for progression; ties go
-    to the oldest injection."""
-    if not candidates:
-        return None
-    sign = -1 if deepest else 1
-    return min(candidates,
-               key=lambda c: (sign * STAGE_DEPTH[c[1][0]], c[1][1]))[0]
+def _pick(here: dict, deepest: bool, bound=()):
+    """Token choice among the label -> (stage, seq) placements `here`,
+    skipping labels in `bound`: deepest stage first for flow sources,
+    shallowest first for progression; ties go to the oldest injection."""
+    best = None
+    for label, (stage, seq) in here.items():
+        if label not in bound:
+            key = (-STAGE_DEPTH[stage] if deepest else STAGE_DEPTH[stage], seq)
+            if best is None or key < best_key:
+                best, best_key = label, key
+    return best
 
 
 def _resolve(prog: Program, eid: str, subj, stores: Configuration,
@@ -211,33 +210,32 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
     info = prog.info[eid]
     if info.writes is None:
         info.plan_firing(prog.thimacs)
-    for guard in info.gates:
-        if not _eval_guard(guard, stores):
-            return None
+    if not _holds(info.gates, stores):
+        return None
+    mode = info.mode
 
-    if info.mode == SubjectMode.SUBJECTLESS:
+    if mode is SubjectMode.SUBJECTLESS:
         return _Binding(info, subj, (), info.writes)
 
-    if info.mode == SubjectMode.FLOW:
-        here = places.get(info.paths[0][0].thimac, {})
+    if mode is SubjectMode.FLOW:
+        head, rest = info.flow[0]
+        here = places.get(head, {})
         if subj is not None:
             if subj not in here:
                 return None
             primary = subj
         else:
-            primary = _pick(here.items(), deepest=True)
+            primary = _pick(here, True)
             if primary is None:
                 return None
-        moves = [(primary, info.paths[0])]
+        moves = [(primary, rest)]
         bound = {primary}
-        for path in info.paths[1:]:
-            pool = [c for c in places.get(path[0].thimac, {}).items()
-                    if c[0] not in bound]
-            stim = _pick(pool, deepest=True)
+        for head, rest in info.flow[1:]:
+            stim = _pick(places.get(head, {}), True, bound)
             if stim is None:
                 return None
             bound.add(stim)
-            moves.append((stim, path))
+            moves.append((stim, rest))
         return _Binding(info, primary, tuple(moves),
                         info.writes | {("token", label) for label in bound})
 
@@ -250,21 +248,21 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
             return None
         chosen = subj
     else:
-        chosen = _pick(here.items(), deepest=False)
+        chosen = _pick(here, False)
         if chosen is None:
             return None
     stage = here[chosen][0]
     if STAGE_DEPTH[stage] > STAGE_DEPTH[target]:
         return None
-    enters = stage != target and target == ActionKind.PROCESS
+    enters = stage is not target and target is ActionKind.PROCESS
     if enters:
         for label, (s, _) in here.items():
-            if s == ActionKind.PROCESS and label != chosen:
+            if s is ActionKind.PROCESS and label != chosen:
                 return None
     writes = info.writes | {("token", chosen)}
     if enters:
         writes |= {("proc", tid)}
-    return _Binding(info, chosen, (), writes)
+    return _Binding(info, chosen, ((chosen, (tid, target)),), writes)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +272,18 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
 
 def _apply_triggers(prog: Program, info: EventInfo, cfg: Configuration,
                     initial: dict):
-    for tr in info.apply_order:
-        if tr.effect is None:
+    for checks, target, effect, kind in info.steps:
+        if not _holds(checks, cfg):
             continue
-        if not _eval_guard(tr.guard, cfg):
-            continue
-        target = tr.dst.thimac
-        kind = prog.thimacs[target].kind
-        if tr.effect == Effect.INC:
+        if effect is Effect.INC:
             cfg.counters[target] += 1
-        elif tr.effect == Effect.DEC:
+        elif effect is Effect.DEC:
             cfg.counters[target] -= 1
-        elif tr.effect == Effect.SET:
+        elif effect is Effect.SET:
             cfg.flags[target] = True
-        elif tr.effect == Effect.CLEAR:
+        elif effect is Effect.CLEAR:
             cfg.flags[target] = False
-        elif tr.effect == Effect.RESET and kind == ThimacKind.COUNTER:
+        elif effect is Effect.RESET and kind is ThimacKind.COUNTER:
             decl = prog.thimacs[target]
             cfg.counters[target] = int(initial.get(target, decl.init))
         else:
@@ -299,35 +293,19 @@ def _apply_triggers(prog: Program, info: EventInfo, cfg: Configuration,
             ts.expired = False
 
 
-def _move_tokens(prog: Program, binding: _Binding, cfg: Configuration):
-    info = binding.info
-    if info.mode == SubjectMode.FLOW:
-        for label, path in binding.moves:
-            tok = cfg.tokens[label]
-            last = path[-1]
-            if (last.action == ActionKind.TRANSFER
-                    or prog.thimacs[last.thimac].kind == ThimacKind.SINK):
-                tok.thimac = None
-                tok.stage = None
-            else:
-                tok.thimac = last.thimac
-                tok.stage = ActionKind.RECEIVE
-    elif info.mode == SubjectMode.PROGRESSION:
-        tok = cfg.tokens[binding.subject]
-        tok.stage = info.progress_target
-
-
 def _fire(prog: Program, initial: dict, eid: str, binding: _Binding,
           cfg: Configuration, fired: list, written: set, cofired: set):
-    event = prog.events[eid]
-    _move_tokens(prog, binding, cfg)
+    for label, (thimac, stage) in binding.moves:
+        tok = cfg.tokens[label]
+        tok.thimac = thimac
+        tok.stage = stage
     _apply_triggers(prog, binding.info, cfg, initial)
-    fired.append(FiredEvent(eid, binding.subject, event.bookkeeping))
+    fired.append(FiredEvent(eid, binding.subject,
+                            binding.info.event.bookkeeping))
     written |= binding.write_set
     context = binding.subject
-    for succ_id in prog.successors.get(eid, ()):
-        succ = prog.events[succ_id]
-        if succ.bookkeeping:
+    for succ_id, cofires, carries in prog.successors.get(eid, ()):
+        if cofires:
             if succ_id in cofired:
                 continue
             cofired.add(succ_id)
@@ -341,9 +319,7 @@ def _fire(prog: Program, initial: dict, eid: str, binding: _Binding,
                 _fire(prog, initial, succ_id, b2, cfg, fired, written,
                       cofired)
         else:
-            bearing = prog.info[succ_id].mode != SubjectMode.SUBJECTLESS
-            carry = context if bearing else None
-            cfg.pending.add((succ_id, carry))
+            cfg.pending.add((succ_id, context if carries else None))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +349,6 @@ def _inject(prog: Program, arrivals, config: Configuration, tick: int):
     """Label -> token for this tick's injections `arrivals`, and the
     instances pending after `config` with the ones they pend added."""
     new = {}
-    pending = config.pending
     for inj in arrivals:
         if inj.label in config.tokens or inj.label in new:
             raise TmError(E_DUP_ID,
@@ -383,9 +358,9 @@ def _inject(prog: Program, arrivals, config: Configuration, tick: int):
                  else ActionKind.RELEASE)
         new[inj.label] = Token(inj.label, inj.thimac, stage,
                                len(config.tokens) + len(new), tick)
-        pending = pending.union(
-            (eid, None) for eid in prog.injection_events.get(inj.thimac, ()))
-    return new, pending
+    return new, config.pending.union([
+        (eid, None) for inj in arrivals
+        for eid in prog.injection_events.get(inj.thimac, ())])
 
 
 def _open_tick(bundle: ModelBundle, config: Configuration):
@@ -398,11 +373,11 @@ def _open_tick(bundle: ModelBundle, config: Configuration):
     prog = compile(bundle)
     tick = config.tick + 1
     new, pending = _inject(prog, bundle.arrivals.get(tick, ()), config, tick)
-    last = len(prog.priority)
-    pending = sorted(pending, key=lambda entry: (
-        prog.priority.get(entry[0], last), entry[1] or ""))
     if not pending:
         return prog, tick, new, []
+    if len(pending) > 1:
+        pending = sorted(pending, key=lambda entry: (
+            prog.priority[entry[0]], entry[1] or ""))
     places = _placements(chain(config.tokens.values(), new.values()))
     return prog, tick, new, [
         (eid, subj, _resolve(prog, eid, subj, config, places))
@@ -430,9 +405,9 @@ def step(bundle: ModelBundle, config: Configuration):
               cofired)
 
     # tokens injected this tick that never left their source drain away
-    for tok in cfg.tokens.values():
-        if (tok.alive and tok.injected_at == tick
-                and prog.thimacs[tok.thimac].kind == ThimacKind.SOURCE):
+    for tok in new.values():
+        if (tok.thimac is not None
+                and prog.thimacs[tok.thimac].kind is ThimacKind.SOURCE):
             tok.thimac = None
             tok.stage = None
 

@@ -11,6 +11,7 @@ event classification, flow-path decomposition).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -91,7 +92,10 @@ class ActionRef(NamedTuple):
 # Guards
 # ---------------------------------------------------------------------------
 
-COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
+# The comparison each guard operator names.
+COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+COMPARE_OPS = tuple(COMPARE)
 
 
 @dataclass(frozen=True)
@@ -556,16 +560,35 @@ STAGE_DEPTH = {
 }
 
 
+def _guard_checks(guard: Guard) -> tuple:
+    """One typed check per atom, in order: (COUNTER, id, comparison,
+    literal), (FLAG, id, the value that fails, None) or (TIMER, id,
+    None, None), which holds once the timer has expired."""
+    checks = []
+    for atom in guard:
+        if isinstance(atom, CounterCmp):
+            checks.append((ThimacKind.COUNTER, atom.counter,
+                           COMPARE[atom.op], atom.value))
+        elif isinstance(atom, FlagTest):
+            checks.append((ThimacKind.FLAG, atom.flag, atom.negated, None))
+        else:
+            checks.append((ThimacKind.TIMER, atom.timer, None, None))
+    return tuple(checks)
+
+
 class EventInfo:
     """What firing one event involves, independent of any run: region,
     subject mode, flow paths (primary first; None with a `reason` when
-    malformed), progression target, gating guards, trigger firing order,
-    and the flags and timers it writes as ("store", id) keys (counters
-    commute, so are left out).  `model.event_info(event)` computes it
-    once per model.  The gates, firing order and writes stay None until
-    `plan_firing`, which the engine calls when it first resolves the
-    event, so validation and events that never pend skip that work.  It
-    holds no reference to the model, so no reference cycle forms."""
+    malformed) and progression target, computed once per model by
+    `model.event_info(event)`.  Its firing plan stays None
+    until `plan_firing`, which the engine calls when it first resolves
+    the event: `gates`, the checks of every gating guard; `steps`, per
+    effectful trigger in canonical order, its checks, target id, effect
+    and target kind; `flow`, per path, its head thimac and where its
+    token rests after firing as (thimac, stage), (None, None) when it
+    exits; and `writes`, the flags and timers written as ("store", id)
+    keys (counters commute, so are left out).  It holds no reference to
+    the model, so no reference cycle forms."""
 
     def __init__(self, model: StaticModel, event: Event):
         tmap = model._by_id
@@ -597,16 +620,22 @@ class EventInfo:
                 self.progress_thimac = min(deep)
                 self.progress_target = max(stages[self.progress_thimac],
                                            key=STAGE_DEPTH.get)
-        self.gates = self.apply_order = self.writes = None
+        self.gates = self.steps = self.flow = self.writes = None
 
     def plan_firing(self, tmap):
-        """Fill in the gates, firing order and writes, once; `tmap` is
-        the model's thimac table."""
+        """Fill in the firing plan, once; `tmap` is the model's thimac
+        table."""
         if self.writes is not None:
             return
+        # a token exits at a final transfer or a sink, else rests received
+        self.flow = tuple([
+            (p[0].thimac, (None, None) if p[-1].action is ActionKind.TRANSFER
+             or getattr(tmap.get(p[-1].thimac), "kind", None) is ThimacKind.SINK
+             else (p[-1].thimac, ActionKind.RECEIVE))
+            for p in self.paths or ()])
         triggers = self.region.triggers
         if not triggers:
-            self.gates = self.apply_order = ()
+            self.gates = self.steps = ()
             self.writes = frozenset()
             return
         # gating guards, all of which must hold: effectful triggers gate
@@ -618,17 +647,22 @@ class EventInfo:
             groups.setdefault((t.src, t.dst), []).append(t)
         heads = {p[0] for p in self.paths or ()}
         every_signal = not self.region.flows
-        self.gates = tuple([
-            members[0].guard for (_, dst), members in groups.items()
+        self.gates = _guard_checks([
+            atom for (_, dst), members in groups.items()
             if len(members) == 1 and (members[0].effect is not None
-                                      or every_signal or dst in heads)])
-        self.apply_order = tuple(sorted(triggers, key=trigger_key))
-        self.writes = frozenset([
-            ("store", t.dst.thimac) for t in triggers
+                                      or every_signal or dst in heads)
+            for atom in members[0].guard])
+        steps, writes = [], []
+        for t in sorted(triggers, key=trigger_key):
+            if t.effect is None:
+                continue
+            kind = getattr(tmap.get(t.dst.thimac), "kind", None)
+            steps.append((_guard_checks(t.guard), t.dst.thimac, t.effect, kind))
             if t.effect in _FLAG_EFFECTS or (
-                t.effect in _TIMER_EFFECTS
-                and (target := tmap.get(t.dst.thimac)) is not None
-                and target.kind is ThimacKind.TIMER)])
+                    t.effect in _TIMER_EFFECTS and kind is ThimacKind.TIMER):
+                writes.append(("store", t.dst.thimac))
+        self.steps = tuple(steps)
+        self.writes = frozenset(writes)
 
 
 # ---------------------------------------------------------------------------
@@ -638,22 +672,25 @@ class EventInfo:
 
 class Program:
     """A bundle's schedule-independent analysis, built by `compile`: the
-    event analyses, priority ranks, chronology successors, and the
-    events to pend when a token lands in a thimac or a timer runs out.
-    The schedule and initial overrides are read at run time instead."""
+    event analyses, priority ranks, chronology successors as (id,
+    co-fires?, carries the subject?) per event, and the events to pend
+    when a token lands in a thimac or a timer runs out.  The schedule
+    and initial overrides are read at run time instead."""
 
     def __init__(self, bundle: "ModelBundle"):
         model = bundle.model
         self.source = (bundle.events, bundle.behavior, bundle.priority)
         self.thimacs = model._by_id
-        self.events = bundle.event_map()
+        events = bundle.event_map()
         self.priority = {eid: i for i, eid in enumerate(bundle.priority_order())}
-        self.successors = successor_table(bundle.behavior)
         self.info = {}
         self.injection_events: dict = {}
         self.expiry_events: dict = {}
-        for eid, event in self.events.items():
+        successor = {}
+        for eid, event in events.items():
             info = self.info[eid] = model.event_info(event)
+            successor[eid] = (eid, event.bookkeeping,
+                              info.mode is not SubjectMode.SUBJECTLESS)
             if info.paths is None:
                 raise TmError(E_REGION_FLOWS, f"event {eid}: {info.reason}")
             for tid in {ref.thimac for ref in event.region}:
@@ -662,6 +699,13 @@ class Program:
                 for atom in tr.guard:
                     if isinstance(atom, TimerExpired):
                         self.expiry_events.setdefault(atom.timer, {})[eid] = None
+        try:
+            self.successors = {
+                src: tuple([successor[dst] for dst in dsts])
+                for src, dsts in successor_table(bundle.behavior).items()}
+        except KeyError as err:
+            raise TmError(E_UNRESOLVED_REF, f"chronology names unknown "
+                                            f"event {err.args[0]}") from None
 
 
 def compile(bundle: "ModelBundle") -> Program:

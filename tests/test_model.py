@@ -215,6 +215,15 @@ def test_block_flag_must_be_a_flag(kind):
     assert validate_model(replace(b, model=flagged)) == []
 
 
+def test_compile_rejects_an_unknown_successor():
+    b = replace(clean_bundle(), behavior=(("arrive", "work"),
+                                          ("leave", "nowhere")))
+    with pytest.raises(TmError) as err:
+        compile(b)
+    assert err.value.code == E_UNRESOLVED_REF
+    assert err.value.message == "chronology names unknown event nowhere"
+
+
 def test_empty_region_rejected():
     b = bundle(thimacs=[machine("M")], events=[Event("e", frozenset())])
     assert codes(validate_model(b)) == [E_EMPTY_REGION]
