@@ -510,6 +510,32 @@ def test_cofire_rebinds_when_the_subject_has_left():
     assert not any(tok.alive for tok in cfg.tokens.values())
 
 
+def cofire_bundle(behavior, links):
+    """Event a pended by an arrival in env, then bookkeeping, subjectless
+    events `links` that only co-fire along `behavior`."""
+    return bundle(
+        thimacs=[source("env"), Thimac("B", ThimacKind.BUFFER,
+                                       frozenset({ActionKind.CREATE}))],
+        events=[Event("a", frozenset({ref("env.release")}))] + [
+            Event(eid, frozenset({ref("B.create")}), bookkeeping=True)
+            for eid in links],
+        behavior=behavior,
+        schedule=[Injection(1, "env", "t1")],
+    )
+
+
+def test_cofires_run_depth_first_and_once_per_tick():
+    # c is a successor of a and of d; it fires once, reached through d
+    # before a's own edge to it comes up
+    b = cofire_bundle([("a", "b"), ("a", "c"), ("b", "d"), ("d", "c")],
+                      ["b", "c", "d"])
+    cfg, trace = run(b)
+    assert [fired_list(e) for e in trace] == [
+        [("a", None), ("b", None), ("d", None), ("c", None)]]
+    assert [f.bookkeeping for f in trace[0].fired] == [False, True, True, True]
+    assert not cfg.pending
+
+
 @pytest.mark.parametrize("fixture, ticks", [("assembly_line.tm", None),
                                             ("phone_line.tm", 5)])
 def test_run_records_survive_deepcopy_and_pickle(fixture, ticks):
