@@ -110,14 +110,17 @@ def check_conformance(trace, graph: BehaviorGraph):
 
 @dataclass(frozen=True)
 class ComponentStateDecl:
-    """One named component and the values it may take."""
+    """One named component and the values it may take: a tuple, or a
+    `range` that `enumerate_states` counts without building it."""
 
     component: str
-    domain: tuple
+    domain: tuple | range
 
 
 def enumerate_states(decls):
-    """Declared product state space: (count, lazy tuple iterator)."""
+    """Declared product state space: (count, lazy tuple iterator).  A
+    domain may be a `range`; the count reads only its length, and the
+    product is built on the first `next`."""
     decls = list(decls)
     if not decls:
         raise TmError(E_EMPTY_DOMAIN, "no components to enumerate")
@@ -126,7 +129,11 @@ def enumerate_states(decls):
             raise TmError(E_EMPTY_DOMAIN,
                           f"component {d.component} has an empty domain")
     count = math.prod(len(d.domain) for d in decls)
-    return count, itertools.product(*(tuple(d.domain) for d in decls))
+    return count, _product([d.domain for d in decls])
+
+
+def _product(domains):
+    yield from itertools.product(*domains)
 
 
 def machine_status(bundle: ModelBundle, config: Configuration,

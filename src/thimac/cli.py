@@ -93,7 +93,7 @@ def _parse_domain(parser, spec: str) -> ComponentStateDecl:
             parser.error(f"bad integer range in {spec!r}")
         if hi < lo:
             parser.error(f"empty range in {spec!r}")
-        return ComponentStateDecl(name, tuple(range(lo, hi + 1)))
+        return ComponentStateDecl(name, range(lo, hi + 1))
     values = tuple(v.strip() for v in body.split(",") if v.strip())
     if not values:
         parser.error(f"empty domain in {spec!r}")

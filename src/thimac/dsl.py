@@ -94,7 +94,7 @@ _TOKEN_PATTERNS = (
     ("comment", r"#[^\n]*"),
     ("arrow", r"->"),
     ("dotdot", r"\.\."),
-    ("int", r"-?\d+"),
+    ("int", r"-?[0-9]+"),
     ("cmp", r"!=|<=|>=|<|>|="),
     ("lbrace", r"\{"),
     ("rbrace", r"\}"),

@@ -20,10 +20,12 @@ and the pending event instances for the next tick.  Each step:
    single thimac), then applies the induced triggers in canonical order
    with guards re-read mid-tick;
 4. each fired event activates its chronology successors: bookkeeping
-   successors try to co-fire at once against the mid-tick state (at
-   most once per event per tick; a failed co-fire simply does not
-   happen), other successors pend for the next tick, carrying the
-   subject when they bind tokens;
+   successors go on top of the one stack the tick fires from, so they
+   co-fire depth first, before the next instance, in chains of any
+   length; each is resolved against the mid-tick state, at most once
+   per event per tick (a failed co-fire simply does not happen).  Other
+   successors pend for the next tick, carrying the subject when they
+   bind tokens;
 5. at tick end, tokens injected this tick that still sit in a source
    thimac drain away (only this tick's injections are visited),
    counters are checked against their ranges, and
@@ -189,10 +191,13 @@ class _Binding:
     write_set: frozenset            # ("store"|"token"|"proc", id) keys
 
 
-def _pick(here: dict, deepest: bool, bound=()):
-    """Token choice among the label -> (stage, seq) placements `here`,
-    skipping labels in `bound`: deepest stage first for flow sources,
-    shallowest first for progression; ties go to the oldest injection."""
+def _pick(here: dict, deepest: bool, subject=None, bound=()):
+    """The label to bind among the placements `here`: the carried
+    `subject` if it rests here (None if it has left), else the one not
+    in `bound` deepest in stage for flow sources, shallowest for
+    progression, ties going to the oldest injection."""
+    if subject is not None:
+        return subject if subject in here else None
     best = None
     for label, (stage, seq) in here.items():
         if label not in bound:
@@ -212,45 +217,31 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
         info.plan_firing(prog.thimacs)
     if not _holds(info.gates, stores):
         return None
-    mode = info.mode
 
-    if mode is SubjectMode.SUBJECTLESS:
+    if info.mode is SubjectMode.SUBJECTLESS:
         return _Binding(info, subj, (), info.writes)
 
-    if mode is SubjectMode.FLOW:
-        head, rest = info.flow[0]
-        here = places.get(head, {})
-        if subj is not None:
-            if subj not in here:
+    if info.mode is SubjectMode.FLOW:
+        # the carried subject takes the primary path only
+        moves = []
+        bound = set()
+        for head, rest in info.flow:
+            label = _pick(places.get(head, {}), True, subj, bound)
+            if label is None:
                 return None
-            primary = subj
-        else:
-            primary = _pick(here, True)
-            if primary is None:
-                return None
-        moves = [(primary, rest)]
-        bound = {primary}
-        for head, rest in info.flow[1:]:
-            stim = _pick(places.get(head, {}), True, bound)
-            if stim is None:
-                return None
-            bound.add(stim)
-            moves.append((stim, rest))
-        return _Binding(info, primary, tuple(moves),
+            subj = None
+            bound.add(label)
+            moves.append((label, rest))
+        return _Binding(info, moves[0][0], tuple(moves),
                         info.writes | {("token", label) for label in bound})
 
     # progression
     tid = info.progress_thimac
     target = info.progress_target
     here = places.get(tid, {})
-    if subj is not None:
-        if subj not in here:
-            return None
-        chosen = subj
-    else:
-        chosen = _pick(here, False)
-        if chosen is None:
-            return None
+    chosen = _pick(here, False, subj)
+    if chosen is None:
+        return None
     stage = here[chosen][0]
     if STAGE_DEPTH[stage] > STAGE_DEPTH[target]:
         return None
@@ -291,35 +282,6 @@ def _apply_triggers(prog: Program, info: EventInfo, cfg: Configuration,
             ts = cfg.timers[target]
             ts.remaining = ts.duration
             ts.expired = False
-
-
-def _fire(prog: Program, initial: dict, eid: str, binding: _Binding,
-          cfg: Configuration, fired: list, written: set, cofired: set):
-    for label, (thimac, stage) in binding.moves:
-        tok = cfg.tokens[label]
-        tok.thimac = thimac
-        tok.stage = stage
-    _apply_triggers(prog, binding.info, cfg, initial)
-    fired.append(FiredEvent(eid, binding.subject,
-                            binding.info.event.bookkeeping))
-    written |= binding.write_set
-    context = binding.subject
-    for succ_id, cofires, carries in prog.successors.get(eid, ()):
-        if cofires:
-            if succ_id in cofired:
-                continue
-            cofired.add(succ_id)
-            places = _placements(cfg.tokens.values())
-            b2 = _resolve(prog, succ_id, context, cfg, places)
-            if b2 is None and context is not None:
-                # a co-fire may rebind mid-tick when the handed-down
-                # subject no longer fits
-                b2 = _resolve(prog, succ_id, None, cfg, places)
-            if b2 is not None:
-                _fire(prog, initial, succ_id, b2, cfg, fired, written,
-                      cofired)
-        else:
-            cfg.pending.add((succ_id, context if carries else None))
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +354,43 @@ def step(bundle: ModelBundle, config: Configuration):
     cfg.tick = tick
     cfg.tokens.update(new)
     cfg.pending = set()
-    fired = []
-    written = set()
-    cofired = set()
-    for eid, subj, binding in entries:
+    fired, written, cofired = [], set(), set()
+    # depth first: an instance's co-fires, pushed on top, all fire
+    # before the next instance of the opening
+    stack = [entry for entry in reversed(entries) if entry[2] is not None]
+    while stack:
+        eid, subj, binding = stack.pop()
         if binding is None:
-            continue
-        if not written.isdisjoint(binding.write_set):
+            # a bookkeeping co-fire, once per event per tick, resolved
+            # against the mid-tick state; it may rebind when the
+            # handed-down subject no longer fits
+            if eid in cofired:
+                continue
+            cofired.add(eid)
+            places = _placements(cfg.tokens.values())
+            binding = _resolve(prog, eid, subj, cfg, places)
+            if binding is None and subj is not None:
+                binding = _resolve(prog, eid, None, cfg, places)
+            if binding is None:
+                continue
+        elif not written.isdisjoint(binding.write_set):
             cfg.pending.add((eid, subj))
             continue
-        _fire(prog, bundle.initial, eid, binding, cfg, fired, written,
-              cofired)
+        for label, (thimac, stage) in binding.moves:
+            tok = cfg.tokens[label]
+            tok.thimac = thimac
+            tok.stage = stage
+        _apply_triggers(prog, binding.info, cfg, bundle.initial)
+        fired.append(FiredEvent(eid, binding.subject,
+                                binding.info.event.bookkeeping))
+        written |= binding.write_set
+        context = binding.subject
+        for succ_id, cofires, carries in reversed(
+                prog.successors.get(eid, ())):
+            if cofires:
+                stack.append((succ_id, context, None))
+            else:
+                cfg.pending.add((succ_id, context if carries else None))
 
     # tokens injected this tick that never left their source drain away
     for tok in new.values():
@@ -522,10 +510,11 @@ def parse_trace_records(text: str, file: str = "<trace>"):
         if len(parts) != 4:
             bad(0, "record needs 4 tab-separated fields")
         tick_text, event, subject_text, bk = parts
-        try:
-            tick = int(tick_text)
-        except ValueError:
+        # int() alone would take signs, blanks, `_` and non-ASCII digits
+        if not (tick_text.isascii() and tick_text.isdigit()
+                and int(tick_text) >= 1):
             bad(0, f"bad tick {tick_text!r}")
+        tick = int(tick_text)
         if not event:
             bad(1, "empty event")
         subject = None if subject_text == "-" else read_string(subject_text)

@@ -150,6 +150,14 @@ def test_enumerate_is_lazy():
     assert next(states) == (0, MACHINE_IDLE, 0, MACHINE_IDLE)
 
 
+def test_enumerate_takes_a_range_domain():
+    count, states = enumerate_states([ComponentStateDecl("x", range(3)),
+                                      ComponentStateDecl("y", ("a", "b"))])
+    assert count == 6
+    assert list(states) == [(0, "a"), (0, "b"), (1, "a"), (1, "b"),
+                            (2, "a"), (2, "b")]
+
+
 def test_enumerate_rejects_empty_domain():
     with pytest.raises(TmError) as err:
         enumerate_states([ComponentStateDecl("x", ())])

@@ -1,5 +1,6 @@
 """Command semantics and exit codes."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,24 @@ def test_run_empty_model(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_run_cofires_a_long_bookkeeping_chain(tmp_path, capsys):
+    links = range(1, 3001)
+    chain = tmp_path / "chain.tm"
+    chain.write_text("\n".join(
+        ["model chain",
+         "thimac env kind source { actions: release, transfer }",
+         "thimac B kind buffer { actions: create }",
+         'event k0 "start" region { env.release }']
+        + [f'event k{i} "link" bookkeeping region {{ B.create }}'
+           for i in links]
+        + ["behavior {"] + [f"  k{i - 1} -> k{i};" for i in links] + ["}",
+           'schedule { at 1 inject env "t"; }']) + "\n")
+    assert main(["run", str(chain)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["1\tk0\t-\t0"] + [
+        f"1\tk{i}\t-\t1" for i in links]
+
+
 # --- enumerate -------------------------------------------------------------------
 
 def test_enumerate_counts_product(capsys):
@@ -112,6 +131,17 @@ def test_enumerate_counts_product(capsys):
                  "B2=0..3", "M2=idle,busy"]) == 0
     # 4 * 3 * 4 * 2 = 96
     assert capsys.readouterr().out == "96 states\n"
+
+
+def test_enumerate_counts_without_building_domains(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "X=0..200000", "Y=a,b"]) == 0
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "400002 states\n"
+    assert peak < 1 << 20
 
 
 def test_enumerate_bad_spec_is_usage_error(capsys):

@@ -536,6 +536,21 @@ def test_cofires_run_depth_first_and_once_per_tick():
     assert not cfg.pending
 
 
+def test_a_long_bookkeeping_chain_cofires_in_one_tick():
+    links = [f"k{i}" for i in range(1, 3001)]
+    b = cofire_bundle(list(zip(["a"] + links, links)), links)
+    _cfg, trace = run(b)
+    assert [e.tick for e in trace] == [1]
+    assert fired_list(trace[0]) == [(eid, None) for eid in ["a"] + links]
+
+
+def _repr(cfg, trace):
+    # a set's repr follows its hash-table layout, which a copy need not
+    # keep (phone_line.tm under PYTHONHASHSEED=3), so pending is sorted
+    pending = sorted(cfg.pending, key=repr)
+    return repr((dataclasses.replace(cfg, pending=pending), trace))
+
+
 @pytest.mark.parametrize("fixture, ticks", [("assembly_line.tm", None),
                                             ("phone_line.tm", 5)])
 def test_run_records_survive_deepcopy_and_pickle(fixture, ticks):
@@ -544,7 +559,7 @@ def test_run_records_survive_deepcopy_and_pickle(fixture, ticks):
     for copied in (copy.deepcopy((cfg, trace)),
                    pickle.loads(pickle.dumps((cfg, trace)))):
         assert copied == (cfg, trace)
-        assert repr(copied) == repr((cfg, trace))
+        assert _repr(*copied) == _repr(cfg, trace)
         # the copy steps on exactly like the original
         assert step(b, copied[0]) == step(b, cfg)
 
@@ -721,6 +736,12 @@ def test_trace_records_quote_subjects():
     ('1\tE1\t"S1"\tyes', "bookkeeping 'yes'"),
     ('1\tE1\t"S1"\t7', "bookkeeping '7'"),
     ('1\t\t"S1"\t0', "empty event"),
+    ('1_0\tE1\t"S1"\t0', "bad tick '1_0'"),
+    (' 2\tE1\t"S1"\t0', "bad tick ' 2'"),
+    ('+4\tE1\t"S1"\t0', "bad tick '+4'"),
+    ('-3\tE1\t"S1"\t0', "bad tick '-3'"),
+    ('0\tE1\t"S1"\t0', "bad tick '0'"),
+    ('\u0661\tE1\t"S1"\t0', "bad tick '\u0661'"),
 ])
 def test_trace_records_reject_malformed_fields(record, problem):
     text = '1\tE1\t"S1"\t0\n' + record + "\n"
@@ -734,6 +755,11 @@ def test_trace_records_reject_malformed_fields(record, problem):
 
 @pytest.mark.parametrize("record, col", [
     ('x\tE1\t"S1"\t0', 1),       # the tick
+    ('1_0\tE1\t"S1"\t0', 1),     # ticks are ASCII digits from 1 up
+    (' 2\tE1\t"S1"\t0', 1),
+    ('+4\tE1\t"S1"\t0', 1),
+    ('-3\tE1\t"S1"\t0', 1),
+    ('\u0661\tE1\t"S1"\t0', 1),
     ('1\tE1\t"S1"', 1),           # the record: a field is missing
     ('12\t\t"S1"\t0', 4),        # the event
     ('12\tE1\tS1\t0', 7),        # the subject

@@ -94,6 +94,15 @@ EDGE_PINS = [
     ("",
      [("eof", "", 1, 1)],
      []),
+    # integers are ASCII digits: an Arabic-Indic three is no int
+    ("range 0 .. \u0663",
+     [("ident", "range", 1, 1), ("int", "0", 1, 7), ("dotdot", "..", 1, 9),
+      ("eof", "", 1, 13)],
+     ["<t>:1:12: E_SYNTAX unexpected character '\u0663'"]),
+    ("-\u0663",
+     [("eof", "", 1, 3)],
+     ["<t>:1:1: E_SYNTAX unexpected character '-'",
+      "<t>:1:2: E_SYNTAX unexpected character '\u0663'"]),
 ]
 
 
