@@ -119,8 +119,8 @@ class ComponentStateDecl:
 
 def enumerate_states(decls):
     """Declared product state space: (count, lazy tuple iterator).  A
-    domain may be a `range`; the count reads only its length, and the
-    product is built on the first `next`."""
+    domain may be a `range`; the count reads only its ends (its len()
+    stops at sys.maxsize), and the product is built on the first `next`."""
     decls = list(decls)
     if not decls:
         raise TmError(E_EMPTY_DOMAIN, "no components to enumerate")
@@ -128,7 +128,9 @@ def enumerate_states(decls):
         if not d.domain:
             raise TmError(E_EMPTY_DOMAIN,
                           f"component {d.component} has an empty domain")
-    count = math.prod(len(d.domain) for d in decls)
+    count = math.prod((d.domain[-1] - d.domain[0]) // d.domain.step + 1
+                      if isinstance(d.domain, range) else len(d.domain)
+                      for d in decls)
     return count, _product([d.domain for d in decls])
 
 

@@ -16,6 +16,7 @@ input.  Diagnostics go to stderr, one per line; results go to stdout.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import dsl
@@ -87,10 +88,10 @@ def _parse_domain(parser, spec: str) -> ComponentStateDecl:
                      f"or NAME=a,b,c")
     if ".." in body:
         lo_text, _, hi_text = body.partition("..")
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
+        # ASCII as in models: int() alone takes `_`, blanks, other digits
+        if not all(re.fullmatch(r"-?[0-9]+", t) for t in (lo_text, hi_text)):
             parser.error(f"bad integer range in {spec!r}")
+        lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             parser.error(f"empty range in {spec!r}")
         return ComponentStateDecl(name, range(lo, hi + 1))

@@ -6,15 +6,15 @@ and the pending event instances for the next tick.  Each step:
 1. applies the injections scheduled for the new tick (a token lands at
    the target's receive action when it has one, else at release) and
    pends every event whose region touches the target thimac;
-2. resolves each pending instance, in priority order, against the start
-   of the tick: guards read the stores of the previous configuration and
-   binding reads the token placements after injection.  This opening
-   reads the previous configuration in place and changes nothing in it;
-   the step copies it only once everything is resolved.  An instance
-   that fails its guards or cannot bind tokens lapses, one whose writes
-   overlap an earlier firing this tick defers to the next tick, and the
-   rest fire; `enabled_events` runs this same opening and stops short of
-   conflicts and firing;
+2. resolves each pending instance, by priority and then subject (none
+   first), against the start of the tick: guards read the stores of the
+   previous configuration and binding the token placements after
+   injection.  This opening reads the previous configuration in place
+   and changes nothing in it; the step copies it only once everything
+   is resolved.  An instance that fails its guards or cannot bind
+   tokens lapses, one whose writes overlap an earlier firing this tick
+   defers to the next tick, and the rest fire; `enabled_events` runs
+   this same opening and stops short of conflicts and firing;
 3. firing moves the bound tokens (flow paths shift every path's token
    to its sink; progression advances one token between the stages of a
    single thimac), then applies the induced triggers in canonical order
@@ -339,7 +339,7 @@ def _open_tick(bundle: ModelBundle, config: Configuration):
         return prog, tick, new, []
     if len(pending) > 1:
         pending = sorted(pending, key=lambda entry: (
-            prog.priority[entry[0]], entry[1] or ""))
+            prog.priority[entry[0]], entry[1] is not None, entry[1] or ""))
     places = _placements(chain(config.tokens.values(), new.values()))
     return prog, tick, new, [
         (eid, subj, _resolve(prog, eid, subj, config, places))
@@ -511,10 +511,10 @@ def parse_trace_records(text: str, file: str = "<trace>"):
             bad(0, "record needs 4 tab-separated fields")
         tick_text, event, subject_text, bk = parts
         # int() alone would take signs, blanks, `_` and non-ASCII digits
-        if not (tick_text.isascii() and tick_text.isdigit()
-                and int(tick_text) >= 1):
+        tick = (int(tick_text) if tick_text.isascii() and tick_text.isdigit()
+                else 0)
+        if tick < 1:
             bad(0, f"bad tick {tick_text!r}")
-        tick = int(tick_text)
         if not event:
             bad(1, "empty event")
         subject = None if subject_text == "-" else read_string(subject_text)

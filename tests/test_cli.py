@@ -1,10 +1,14 @@
 """Command semantics and exit codes."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import thimac
 from thimac.cli import main
 from thimac.dsl import parse
 from thimac.engine import parse_trace_records
@@ -124,6 +128,36 @@ def test_run_cofires_a_long_bookkeeping_chain(tmp_path, capsys):
         f"1\tk{i}\t-\t1" for i in links]
 
 
+def test_run_orders_no_subject_before_an_empty_label(tmp_path):
+    # W pends as (W, None) from the injection into M and as (W, "") from
+    # A.  Their set order changes from process to process (string hashes
+    # are salted, None's may follow its address), yet no subject sorts
+    # first in each: both bind "" and the deferred (W, "") fires again
+    model = tmp_path / "tie.tm"
+    model.write_text("\n".join([
+        "model tie",
+        "thimac env kind source { actions: release, transfer }",
+        "thimac M kind machine { actions: transfer, receive, process, "
+        "release }",
+        "flow env.release -> env.transfer",
+        "flow env.transfer -> M.transfer",
+        "flow M.transfer -> M.receive",
+        'event A "arrives" region { env.release, env.transfer, '
+        "M.transfer, M.receive }",
+        'event W "works" region { M.process }',
+        "behavior { A -> W; }",
+        'schedule { at 1 inject env ""; at 2 inject M "z"; }']) + "\n")
+    src = str(Path(thimac.__file__).resolve().parents[1])
+    for seed in "12345678":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "thimac.cli", "run",
+                               str(model)], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.splitlines() == [
+            '1\tA\t""\t0', '2\tW\t""\t0', '3\tW\t""\t0'], seed
+
+
 # --- enumerate -------------------------------------------------------------------
 
 def test_enumerate_counts_product(capsys):
@@ -142,6 +176,22 @@ def test_enumerate_counts_without_building_domains(capsys):
         tracemalloc.stop()
     assert capsys.readouterr().out == "400002 states\n"
     assert peak < 1 << 20
+
+
+def test_enumerate_counts_ranges_past_the_index_limit(capsys):
+    # len() of such a range raises OverflowError
+    assert main(["enumerate", "X=0..18446744073709551616",
+                 "Y=-9223372036854775809..-9223372036854775808"]) == 0
+    assert capsys.readouterr().out == "36893488147419103234 states\n"
+
+
+@pytest.mark.parametrize("spec", ["X=\u0660..\u0663", "X= 1..2", "X=1_0..1_1",
+                                  "X=+1..2", "X=0..3 "])
+def test_enumerate_bounds_are_ascii_integers(spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", spec])
+    assert exc.value.code == 2
+    assert "bad integer range" in capsys.readouterr().err
 
 
 def test_enumerate_bad_spec_is_usage_error(capsys):
