@@ -28,7 +28,9 @@ _PALETTE = (
 
 
 def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """A DOT string; a newline becomes DOT's centered line break `\\n`."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') \
+        .replace("\n", "\\n") + '"'
 
 
 def _name(bundle: ModelBundle) -> str:
@@ -84,7 +86,7 @@ def export_dot(bundle: ModelBundle, layer: str = "static") -> str:
     if layer == "behavior":
         for event in bundle.events:
             text = event.id if not event.label \
-                else f"{event.id}\\n{event.label}"
+                else f"{event.id}\n{event.label}"
             shape = "box" if event.bookkeeping else "ellipse"
             lines.append(f"  {_quote(event.id)} [label={_quote(text)}, "
                          f"shape={shape}];")

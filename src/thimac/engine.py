@@ -10,8 +10,8 @@ and the pending event instances for the next tick.  Each step:
    first), against the start of the tick: guards read the stores of the
    previous configuration and binding the token placements after
    injection.  This opening reads the previous configuration in place
-   and changes nothing in it; the step copies it only once everything
-   is resolved.  An instance that fails its guards or cannot bind
+   and changes nothing in it; the step builds the next configuration
+   only then.  An instance that fails its guards or cannot bind
    tokens lapses, one whose writes overlap an earlier firing this tick
    defers to the next tick, and the rest fire; `enabled_events` runs
    this same opening and stops short of conflicts and firing;
@@ -29,8 +29,9 @@ and the pending event instances for the next tick.  Each step:
 5. at tick end, tokens injected this tick that still sit in a source
    thimac drain away (only this tick's injections are visited),
    counters are checked against their ranges, and
-   running timers count down; a timer reaching zero marks itself
-   expired and pends the events guarded on its expiry.
+   running timers count down, each step replacing the timer's record;
+   a timer reaching zero is replaced by an expired one and pends the
+   events guarded on its expiry.
 
 Guards gate an event through its induced triggers: every trigger with
 an effect contributes its guard, except when several triggers share one
@@ -74,7 +75,7 @@ from .model import (
 )
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class TimerState:
     """One timer: counting down, expired, or idle."""
 
@@ -85,9 +86,6 @@ class TimerState:
     @property
     def active(self) -> bool:
         return self.remaining is not None
-
-    def copy(self) -> "TimerState":
-        return TimerState(self.duration, self.remaining, self.expired)
 
 
 @dataclass(slots=True)
@@ -109,26 +107,18 @@ class Token:
                      self.injected_at)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
-    """Full machine state after `tick` completed ticks."""
+    """Full machine state after `tick` completed ticks.  `pending` maps
+    each (event, subject) instance to None in the order it was pended,
+    so a copy or a pickle iterates it alike."""
 
     tick: int
     counters: dict
     flags: dict
     timers: dict
     tokens: dict
-    pending: set
-
-    def copy(self) -> "Configuration":
-        return Configuration(
-            tick=self.tick,
-            counters=dict(self.counters),
-            flags=dict(self.flags),
-            timers={k: v.copy() for k, v in self.timers.items()},
-            tokens={k: v.copy() for k, v in self.tokens.items()},
-            pending=set(self.pending),
-        )
+    pending: dict
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,9 +269,8 @@ def _apply_triggers(prog: Program, info: EventInfo, cfg: Configuration,
             cfg.counters[target] = int(initial.get(target, decl.init))
         else:
             # reset and start both rewind a timer to its full duration
-            ts = cfg.timers[target]
-            ts.remaining = ts.duration
-            ts.expired = False
+            duration = cfg.timers[target].duration
+            cfg.timers[target] = TimerState(duration, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +293,7 @@ def init(bundle: ModelBundle) -> Configuration:
         stores[tmap[tid].kind][tid] = value
     timers = {tid: TimerState(d) for tid, d in stores[ThimacKind.TIMER].items()}
     return Configuration(0, stores[ThimacKind.COUNTER], stores[ThimacKind.FLAG],
-                         timers, {}, set())
+                         timers, {}, {})
 
 
 def _inject(prog: Program, arrivals, config: Configuration, tick: int):
@@ -320,9 +309,9 @@ def _inject(prog: Program, arrivals, config: Configuration, tick: int):
                  else ActionKind.RELEASE)
         new[inj.label] = Token(inj.label, inj.thimac, stage,
                                len(config.tokens) + len(new), tick)
-    return new, config.pending.union([
+    return new, dict.fromkeys(chain(config.pending, (
         (eid, None) for inj in arrivals
-        for eid in prog.injection_events.get(inj.thimac, ())])
+        for eid in prog.injection_events.get(inj.thimac, ()))))
 
 
 def _open_tick(bundle: ModelBundle, config: Configuration):
@@ -348,12 +337,13 @@ def _open_tick(bundle: ModelBundle, config: Configuration):
 
 def step(bundle: ModelBundle, config: Configuration):
     """Execute one tick; returns (new configuration, trace entry).  The
-    tick is resolved against `config` itself, then fired on its copy."""
+    tick is resolved against `config` itself, then fired into the next
+    configuration, built once from fresh store tables and token copies."""
     prog, tick, new, entries = _open_tick(bundle, config)
-    cfg = config.copy()
-    cfg.tick = tick
-    cfg.tokens.update(new)
-    cfg.pending = set()
+    tokens = {label: tok.copy() for label, tok in config.tokens.items()}
+    tokens.update(new)
+    cfg = Configuration(tick, dict(config.counters), dict(config.flags),
+                        dict(config.timers), tokens, {})
     fired, written, cofired = [], set(), set()
     # depth first: an instance's co-fires, pushed on top, all fire
     # before the next instance of the opening
@@ -374,7 +364,7 @@ def step(bundle: ModelBundle, config: Configuration):
             if binding is None:
                 continue
         elif not written.isdisjoint(binding.write_set):
-            cfg.pending.add((eid, subj))
+            cfg.pending[eid, subj] = None
             continue
         for label, (thimac, stage) in binding.moves:
             tok = cfg.tokens[label]
@@ -390,7 +380,7 @@ def step(bundle: ModelBundle, config: Configuration):
             if cofires:
                 stack.append((succ_id, context, None))
             else:
-                cfg.pending.add((succ_id, context if carries else None))
+                cfg.pending[succ_id, context if carries else None] = None
 
     # tokens injected this tick that never left their source drain away
     for tok in new.values():
@@ -409,12 +399,13 @@ def step(bundle: ModelBundle, config: Configuration):
     for tid, ts in cfg.timers.items():
         if ts.remaining is None:
             continue
-        ts.remaining -= 1
-        if ts.remaining <= 0:
-            ts.remaining = None
-            ts.expired = True
-            for eid in prog.expiry_events.get(tid, ()):
-                cfg.pending.add((eid, None))
+        if ts.remaining > 1:
+            cfg.timers[tid] = TimerState(ts.duration, ts.remaining - 1,
+                                         ts.expired)
+            continue
+        cfg.timers[tid] = TimerState(ts.duration, None, True)
+        for eid in prog.expiry_events.get(tid, ()):
+            cfg.pending[eid, None] = None
 
     return cfg, TraceEntry(tick, tuple(fired))
 
@@ -431,10 +422,9 @@ def quiescent(bundle: ModelBundle, config: Configuration) -> bool:
     return True
 
 
-def run(bundle: ModelBundle, max_ticks: Optional[int] = None,
-        config: Optional[Configuration] = None):
+def run(bundle: ModelBundle, max_ticks: Optional[int] = None):
     """Step until quiescence or max_ticks; returns (config, trace list)."""
-    cfg = init(bundle) if config is None else config
+    cfg = init(bundle)
     trace = []
     while not quiescent(bundle, cfg):
         if max_ticks is not None and cfg.tick >= max_ticks:

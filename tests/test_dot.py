@@ -62,3 +62,17 @@ def test_export_is_deterministic():
 def test_unknown_layer_rejected():
     with pytest.raises(TmError):
         export_dot(assembly(), "spaghetti")
+
+
+def test_behavior_label_breaks_line_between_id_and_label():
+    text = export_dot(parse_file(FIXTURES / "door.tm").bundle, "behavior")
+    assert ('  "closed" [label="closed\\ndoor rests closed", shape=ellipse];\n'
+            in text)
+
+
+def test_events_legend_bytes_stay_pinned():
+    # the legend still doubles its separators' backslash; the benchmark
+    # digests pin these bytes until they are re-recorded
+    text = export_dot(parse_file(FIXTURES / "door.tm").bundle, "events")
+    assert ('  label="closed: lightblue\\\\nopened: palegreen\\\\n'
+            'opening: lightgoldenrod\\\\nclosing: lightpink";\n' in text)

@@ -320,7 +320,7 @@ def test_conflicting_write_defers_to_next_tick():
 def test_deferred_instance_keeps_pended_subject():
     b = conflict_bundle()
     cfg, _entry = step(b, init(b))
-    assert cfg.pending == {("lower", None)}
+    assert list(cfg.pending) == [("lower", None)]
 
 
 @pytest.mark.parametrize("label", ["g", "f"])
@@ -384,7 +384,7 @@ def _lower_f(cfg):
 
 
 def _expire_tm(cfg):
-    cfg.timers["tm"].expired = True
+    cfg.timers["tm"] = dataclasses.replace(cfg.timers["tm"], expired=True)
 
 
 GUARD_ATOMS = {
@@ -544,11 +544,29 @@ def test_a_long_bookkeeping_chain_cofires_in_one_tick():
     assert fired_list(trace[0]) == [(eid, None) for eid in ["a"] + links]
 
 
+def crowd_bundle(n):
+    """n subjectless events racing over one flag: one fires per tick and
+    the rest stay pending."""
+    return bundle(
+        thimacs=[source("env"), flag("f")],
+        triggers=[TriggerEdge(ref("env.release"), ref("f.create"),
+                              Effect.SET, ())],
+        events=[Event(f"e{i}", frozenset({ref("env.release"),
+                                          ref("f.create")}))
+                for i in range(n)],
+        schedule=[Injection(1, "env", "t1")],
+    )
+
+
 @pytest.mark.parametrize("fixture, ticks", [("assembly_line.tm", None),
-                                            ("phone_line.tm", 5)])
+                                            ("phone_line.tm", 5),
+                                            ("crowd", 1)])
 def test_run_records_survive_deepcopy_and_pickle(fixture, ticks):
-    b = parse_file(FIXTURES / fixture).bundle
+    b = (crowd_bundle(41) if fixture == "crowd"
+         else parse_file(FIXTURES / fixture).bundle)
     cfg, trace = run(b, max_ticks=ticks)
+    if fixture == "crowd":
+        assert len(cfg.pending) == 40
     for copied in (copy.deepcopy((cfg, trace)),
                    pickle.loads(pickle.dumps((cfg, trace)))):
         assert copied == (cfg, trace)
@@ -607,6 +625,16 @@ def test_active_timer_blocks_quiescence():
 def test_timer_duration_override():
     cfg = init(timer_bundle(initial={"tm": 7}))
     assert cfg.timers["tm"].duration == 7
+
+
+def test_configurations_and_timers_are_frozen():
+    cfg, _trace = run(timer_bundle(), max_ticks=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.tick = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.pending = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.timers["tm"].remaining = 0
 
 
 # --- initial overrides ---------------------------------------------------------
