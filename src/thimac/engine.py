@@ -41,8 +41,8 @@ that is when it points at the first action of an induced flow path, or
 anywhere in a region that has no flow paths at all.
 
 Resolving and firing read flat tables: each event's firing plan, built
-when it is first resolved (`EventInfo.plan_firing`), and the successor
-table of the compiled `Program`.
+with its region analysis (`EventInfo`), and the successor table of the
+compiled `Program`.
 
 A run ends at quiescence: nothing pending, no injections left, and no
 timer still counting.
@@ -72,6 +72,7 @@ from .model import (
     TmError,
     compile,
     initial_problem,
+    injection_problem,
 )
 
 
@@ -203,8 +204,6 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
     token placements by thimac; None when the event cannot fire (failed
     guards, missing tokens, occupied stage)."""
     info = prog.info[eid]
-    if info.writes is None:
-        info.plan_firing(prog.thimacs)
     if not _holds(info.gates, stores):
         return None
 
@@ -304,8 +303,11 @@ def _inject(prog: Program, arrivals, config: Configuration, tick: int):
         if inj.label in config.tokens or inj.label in new:
             raise TmError(E_DUP_ID,
                           f"token label {inj.label!r} injected twice")
-        acts = prog.thimacs[inj.thimac].effective_actions
-        stage = (ActionKind.RECEIVE if ActionKind.RECEIVE in acts
+        t = prog.thimacs.get(inj.thimac)
+        problem = injection_problem(t, inj.thimac)
+        if problem is not None:
+            raise TmError(*problem)
+        stage = (ActionKind.RECEIVE if ActionKind.RECEIVE in t.effective_actions
                  else ActionKind.RELEASE)
         new[inj.label] = Token(inj.label, inj.thimac, stage,
                                len(config.tokens) + len(new), tick)

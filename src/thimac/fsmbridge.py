@@ -121,7 +121,9 @@ def parse_fsm(text: str, file: str = "<fsm>") -> FsmParseResult:
     """Line-based parse; returns an FsmSpec or positioned diagnostics.
     Names are model identifiers, and comments and whitespace follow the
     model format.  A guard flag may not be a thimac id `fsm_to_tm`
-    generates, a guard word, or a name ending in an action."""
+    generates, a guard word, or a name ending in an action; no two
+    states or labels may import as one thimac id, nor one as the
+    `.block` flag id of another."""
     lines, diags = lex_lines(text, file)
     once = {}       # the fsm and initial lines' name tokens
     states = {}
@@ -143,7 +145,7 @@ def parse_fsm(text: str, file: str = "<fsm>") -> FsmParseResult:
         elif head.text == "state":
             if words[0].text in states:
                 bad(words[0], f"state {words[0].text} declared twice")
-            states[words[0].text] = None
+            states.setdefault(words[0].text, words[0])
         elif head.text in once:
             bad(head, f"{head.text} declared twice")
         else:
@@ -151,12 +153,28 @@ def parse_fsm(text: str, file: str = "<fsm>") -> FsmParseResult:
 
     if "fsm" not in once and not diags:
         diags.append(Diagnostic(file, 1, 1, E_SYNTAX, "missing fsm header"))
+    labels = {}     # each label's first token
+    for words in raw_transitions:
+        labels.setdefault(words[4].text, words[4])
+    state_id, stim_id = _thimac_ids(states, labels)
+    # the token thimac ids generated must differ, and none may be
+    # `M.block`, the id of a thimac M's block flag, which must be a flag
+    made = [(kind, name, ids[name], toks[name]) for kind, ids, toks in (
+        ("state", state_id, states), ("label", stim_id, labels))
+        for name in toks]
+    owner = {}      # each generated token thimac id -> its first name
+    for kind, name, tid, tok in made:
+        if tid in owner:
+            bad(tok, f"{kind} {name} imports as {tid}, as does {kind} "
+                     f"{owner[tid]}", E_DUP_ID)
+        owner.setdefault(tid, name)
+    for kind, name, tid, tok in made:
+        base = tid[:-len(".block")] if tid.endswith(".block") else None
+        if base in owner:
+            bad(tok, f"{kind} {name} imports as {tid}, the block flag id "
+                     f"of {kind} {owner[base]}", E_DUP_ID)
+    generated = {_USED, *owner}     # ids no guard flag may take
     transitions = []
-    generated = ()      # the ids fsm_to_tm makes, which no guard may take
-    if any(len(words) == 7 for words in raw_transitions):
-        state_id, stim_id = _thimac_ids(
-            states, {words[4].text for words in raw_transitions})
-        generated = {_USED, *state_id.values(), *stim_id.values()}
     for src, _arrow, dst, _on, label, *when in raw_transitions:
         missing = [s for s in (src, dst) if s.text not in states]
         for state in missing:

@@ -245,11 +245,11 @@ class StaticModel:
         return {}
 
     def event_info(self, event: "Event") -> "EventInfo":
-        """The event's region analysis against this model, computed once
-        and shared by validation and every compiled program."""
+        """The event's analysis and firing plan against this model, built
+        once and shared by validation and every compiled program."""
         info = self._event_infos.get(event)
         if info is None:
-            info = self._event_infos[event] = EventInfo(self, event)
+            info = self._event_infos[event] = _analyse(self, event)
         return info
 
 
@@ -576,93 +576,92 @@ def _guard_checks(guard: Guard) -> tuple:
     return tuple(checks)
 
 
+@dataclass(frozen=True, slots=True)
 class EventInfo:
-    """What firing one event involves, independent of any run: region,
-    subject mode, flow paths (primary first; None with a `reason` when
-    malformed) and progression target, computed once per model by
-    `model.event_info(event)`.  Its firing plan stays None
-    until `plan_firing`, which the engine calls when it first resolves
-    the event: `gates`, the checks of every gating guard; `steps`, per
-    effectful trigger in canonical order, its checks, target id, effect
-    and target kind; `flow`, per path, its head thimac and where its
-    token rests after firing as (thimac, stage), (None, None) when it
-    exits; and `writes`, the flags and timers written as ("store", id)
-    keys (counters commute, so are left out).  It holds no reference to
-    the model, so no reference cycle forms."""
+    """One event's analysis against its model, built once per model by
+    `model.event_info(event)`: region, flow paths (primary first; None
+    with a `reason` when malformed), subject mode, progression target
+    and firing plan.  `gates` checks every gating guard; `steps` holds,
+    per effectful trigger in canonical order, its checks, target id,
+    effect and target kind; `flow`, per path, its head thimac and where
+    its token rests after firing, (None, None) when it exits; `writes`,
+    the flags and timers written, as ("store", id) keys (counters
+    commute).  It holds no reference to the model, so no cycle forms."""
 
-    def __init__(self, model: StaticModel, event: Event):
-        tmap = model._by_id
-        self.event = event
-        self.region = region = induced_region(model, event.region)
-        paths, self.reason = decompose_flows(region)
-        if paths and len(paths) > 1:
-            # the primary path leads: the first not ending in a sink
-            primary = next((p for p in paths
-                            if (t := tmap.get(p[-1].thimac)) is not None
-                            and t.kind != ThimacKind.SINK), paths[0])
-            paths = (primary,) + tuple(p for p in paths if p is not primary)
-        self.paths = paths
+    event: Event
+    region: Region
+    paths: Optional[tuple]
+    reason: Optional[str]
+    mode: SubjectMode
+    progress_thimac: Optional[str]
+    progress_target: Optional[ActionKind]
+    gates: tuple
+    steps: tuple
+    flow: tuple
+    writes: frozenset
 
-        self.mode = SubjectMode.FLOW if region.flows else SubjectMode.SUBJECTLESS
-        self.progress_thimac = self.progress_target = None
-        if not region.flows:
-            stages: dict = {}
-            for ref in event.region:
-                t = tmap.get(ref.thimac)
-                if t is not None and t.kind in TOKEN_KINDS and ref.action in STAGE_DEPTH:
-                    stages.setdefault(ref.thimac, []).append(ref.action)
-            # the subject advances within the thimac whose receive or
-            # process stage the region holds; first by name when several
-            deep = [tid for tid, acts in stages.items()
-                    if ActionKind.RECEIVE in acts or ActionKind.PROCESS in acts]
-            if deep:
-                self.mode = SubjectMode.PROGRESSION
-                self.progress_thimac = min(deep)
-                self.progress_target = max(stages[self.progress_thimac],
-                                           key=STAGE_DEPTH.get)
-        self.gates = self.steps = self.flow = self.writes = None
 
-    def plan_firing(self, tmap):
-        """Fill in the firing plan, once; `tmap` is the model's thimac
-        table."""
-        if self.writes is not None:
-            return
-        # a token exits at a final transfer or a sink, else rests received
-        self.flow = tuple([
-            (p[0].thimac, (None, None) if p[-1].action is ActionKind.TRANSFER
-             or getattr(tmap.get(p[-1].thimac), "kind", None) is ThimacKind.SINK
-             else (p[-1].thimac, ActionKind.RECEIVE))
-            for p in self.paths or ()])
-        triggers = self.region.triggers
-        if not triggers:
-            self.gates = self.steps = ()
-            self.writes = frozenset()
-            return
-        # gating guards, all of which must hold: effectful triggers gate
-        # unless they share their source and target with another induced
-        # trigger; signals gate when they point at a path head, or
-        # anywhere in a flow-less region
-        groups: dict = {}
-        for t in triggers:
-            groups.setdefault((t.src, t.dst), []).append(t)
-        heads = {p[0] for p in self.paths or ()}
-        every_signal = not self.region.flows
-        self.gates = _guard_checks([
-            atom for (_, dst), members in groups.items()
-            if len(members) == 1 and (members[0].effect is not None
-                                      or every_signal or dst in heads)
-            for atom in members[0].guard])
-        steps, writes = [], []
-        for t in sorted(triggers, key=trigger_key):
-            if t.effect is None:
-                continue
-            kind = getattr(tmap.get(t.dst.thimac), "kind", None)
-            steps.append((_guard_checks(t.guard), t.dst.thimac, t.effect, kind))
-            if t.effect in _FLAG_EFFECTS or (
-                    t.effect in _TIMER_EFFECTS and kind is ThimacKind.TIMER):
-                writes.append(("store", t.dst.thimac))
-        self.steps = tuple(steps)
-        self.writes = frozenset(writes)
+def _analyse(model: StaticModel, event: Event) -> EventInfo:
+    """The region analysis and firing plan of `event` against `model`."""
+    tmap = model._by_id
+    region = induced_region(model, event.region)
+    paths, reason = decompose_flows(region)
+    if paths and len(paths) > 1:
+        # the primary path leads: the first not ending in a sink
+        primary = next((p for p in paths
+                        if (t := tmap.get(p[-1].thimac)) is not None
+                        and t.kind != ThimacKind.SINK), paths[0])
+        paths = (primary,) + tuple(p for p in paths if p is not primary)
+
+    mode = SubjectMode.FLOW if region.flows else SubjectMode.SUBJECTLESS
+    progress_thimac = progress_target = None
+    if not region.flows:
+        stages: dict = {}
+        for ref in event.region:
+            t = tmap.get(ref.thimac)
+            if t is not None and t.kind in TOKEN_KINDS and ref.action in STAGE_DEPTH:
+                stages.setdefault(ref.thimac, []).append(ref.action)
+        # the subject advances within the thimac whose receive or
+        # process stage the region holds; first by name when several
+        deep = [tid for tid, acts in stages.items()
+                if ActionKind.RECEIVE in acts or ActionKind.PROCESS in acts]
+        if deep:
+            mode = SubjectMode.PROGRESSION
+            progress_thimac = min(deep)
+            progress_target = max(stages[progress_thimac], key=STAGE_DEPTH.get)
+
+    # a token exits at a final transfer or a sink, else rests received
+    flow = tuple([
+        (p[0].thimac, (None, None) if p[-1].action is ActionKind.TRANSFER
+         or getattr(tmap.get(p[-1].thimac), "kind", None) is ThimacKind.SINK
+         else (p[-1].thimac, ActionKind.RECEIVE))
+        for p in paths or ()])
+    # gating guards, all of which must hold: effectful triggers gate
+    # unless they share their source and target with another induced
+    # trigger; signals gate when they point at a path head, or
+    # anywhere in a flow-less region
+    groups: dict = {}
+    for t in region.triggers:
+        groups.setdefault((t.src, t.dst), []).append(t)
+    heads = {p[0] for p in paths or ()}
+    every_signal = not region.flows
+    gates = _guard_checks([
+        atom for (_, dst), members in groups.items()
+        if len(members) == 1 and (members[0].effect is not None
+                                  or every_signal or dst in heads)
+        for atom in members[0].guard])
+    steps, writes = [], []
+    for t in sorted(region.triggers, key=trigger_key):
+        if t.effect is None:
+            continue
+        kind = getattr(tmap.get(t.dst.thimac), "kind", None)
+        steps.append((_guard_checks(t.guard), t.dst.thimac, t.effect, kind))
+        if t.effect in _FLAG_EFFECTS or (
+                t.effect in _TIMER_EFFECTS and kind is ThimacKind.TIMER):
+            writes.append(("store", t.dst.thimac))
+    return EventInfo(event, region, paths, reason, mode, progress_thimac,
+                     progress_target, gates, tuple(steps), flow,
+                     frozenset(writes))
 
 
 # ---------------------------------------------------------------------------
@@ -895,17 +894,24 @@ def validate_model(bundle, file: str = "<model>", positions=None):
         if inj.label in labels:
             emit(key, E_DUP_ID, f"token label {inj.label!r} injected twice")
         labels.add(inj.label)
-        t = tmap.get(inj.thimac)
-        if t is None or t.kind not in TOKEN_KINDS:
-            emit(key, E_UNRESOLVED_REF,
-                 f"cannot inject into {inj.thimac}: not a token thimac")
-        elif not (t.effective_actions & {ActionKind.RECEIVE, ActionKind.RELEASE}):
-            emit(key, E_UNRESOLVED_REF,
-                 f"cannot inject into {inj.thimac}: no receive or release action")
+        problem = injection_problem(tmap.get(inj.thimac), inj.thimac)
+        if problem is not None:
+            emit(key, *problem)
         if inj.tick < 1:
             emit(key, E_SYNTAX, f"injection tick must be at least 1, got {inj.tick}")
 
     return diags
+
+
+def injection_problem(t: Optional[Thimac], tid: str):
+    """(code, message) when no token can be injected into thimac `tid`,
+    declared as `t` (None when undeclared); None when one can."""
+    if t is None or t.kind not in TOKEN_KINDS:
+        return E_UNRESOLVED_REF, f"cannot inject into {tid}: not a token thimac"
+    if not (t.effective_actions & {ActionKind.RECEIVE, ActionKind.RELEASE}):
+        return (E_UNRESOLVED_REF,
+                f"cannot inject into {tid}: no receive or release action")
+    return None
 
 
 def initial_problem(t: Optional[Thimac], tid: str, value):

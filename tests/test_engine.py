@@ -278,6 +278,23 @@ def test_duplicate_injection_label_rejected():
     assert err.value.code == E_DUP_ID
 
 
+@pytest.mark.parametrize("target, why", [
+    ("nope", "not a token thimac"),
+    ("c", "not a token thimac"),
+    ("P", "no receive or release action"),
+], ids=["unknown", "counter", "process_only"])
+def test_bad_injection_target_is_a_tm_error(target, why):
+    b = line_bundle(schedule=[Injection(1, target, "t1")])
+    idle = Thimac("P", ThimacKind.MACHINE, frozenset({ActionKind.PROCESS}))
+    b = dataclasses.replace(b, model=dataclasses.replace(
+        b.model, thimacs=b.model.thimacs + (idle,)))
+    for call in (lambda: run(b), lambda: enabled_events(b, init(b))):
+        with pytest.raises(TmError) as err:
+            call()
+        assert err.value.code == E_UNRESOLVED_REF
+        assert err.value.message == f"cannot inject into {target}: {why}"
+
+
 def test_counter_leaving_range_aborts():
     b = line_bundle(hi=1, guard=False,
                     schedule=[Injection(1, "env", "t1"),

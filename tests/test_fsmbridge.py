@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from thimac import (
     ActionKind,
@@ -17,6 +18,8 @@ from thimac import (
     E_NO_INITIAL,
     E_SYNTAX,
     E_UNRESOLVED_REF,
+    has_errors,
+    validate_model,
 )
 from thimac import model
 from thimac.dsl import parse, serialize
@@ -395,6 +398,21 @@ def test_parse_fsm_positions_guard_flags_the_import_cannot_take():
         E_DUP_ID, E_SYNTAX, E_UNRESOLVED_REF}
 
 
+def test_parse_fsm_positions_names_that_import_as_one_id():
+    result = parse_fsm("fsm m\nstate A\nstate A.receive\nstate A.receive_\n"
+                       "state A.block\ninitial A\n"
+                       "trans A -> A on go.block\ntrans A -> A on go\n",
+                       file="n.fsm")
+    assert [str(d) for d in result.diagnostics] == [
+        "n.fsm:4:7: E_DUP_ID state A.receive_ imports as st.A.receive_, "
+        "as does state A.receive",
+        "n.fsm:5:7: E_DUP_ID state A.block imports as st.A.block, the "
+        "block flag id of state A",
+        "n.fsm:7:17: E_DUP_ID label go.block imports as stim.go.block, the "
+        "block flag id of label go",
+    ]
+
+
 def test_guard_flags_outside_the_generated_ids_import():
     # `st.` names no state here, so the flag collides with nothing
     result = parse_fsm("fsm m\nstate A\ninitial A\n"
@@ -414,3 +432,31 @@ def test_fsm_to_tm_still_validates_what_it_builds():
         fsm_to_tm(spec)
     assert err.value.code == E_SYNTAX
     assert "E_DUP_ID duplicate thimac id used" in str(err.value)
+
+
+# Names that collide once imported: by case, by gerund, with the ids the
+# importer generates, with action words, by the underscore the importer
+# appends, with block flag ids and with guard words.
+COLLIDING = st.sampled_from([
+    "A", "a", "B", "Open", "Opening", "open", "go", "going", "used", "st",
+    "st.A", "stim", "stim.go", "receive", "A.receive", "A.receive_",
+    "x.create", "Process", "A.block", "go.block", "not", "expired"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(COLLIDING, st.lists(COLLIDING, min_size=1, max_size=4, unique=True),
+       st.data())
+def test_every_accepted_spec_imports_to_a_valid_bundle(name, states, data):
+    initial = data.draw(st.sampled_from(states))
+    moves = data.draw(st.lists(st.tuples(
+        st.sampled_from(states), st.sampled_from(states), COLLIDING,
+        st.one_of(st.none(), COLLIDING)), max_size=5))
+    lines = [f"fsm {name}", *(f"state {s}" for s in states),
+             f"initial {initial}"]
+    lines += [f"trans {src} -> {dst} on {label}"
+              + (f" when {guard}" if guard else "")
+              for src, dst, label, guard in moves]
+    result = parse_fsm("\n".join(lines))
+    assume(result.ok)
+    bundle = fsm_to_tm(result.spec)
+    assert not has_errors(validate_model(bundle))

@@ -1,6 +1,7 @@
 """Structural checks: references, kinds, regions, validation."""
 
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,9 @@ from thimac import (
     E_UNRESOLVED_REF,
     SEV_WARNING,
 )
+from thimac.dsl import parse_file
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def ref(text):
@@ -414,6 +418,22 @@ def test_model_and_bundle_are_frozen():
         b.priority = ("work", "arrive", "leave")
     with pytest.raises(FrozenInstanceError):
         b.model.flows = ()
+    with pytest.raises(FrozenInstanceError):
+        b.model.event_info(b.events[0]).writes = frozenset()
+
+
+@pytest.mark.parametrize("fixture", ["assembly_line.tm", "door.tm",
+                                     "phone_line.tm"])
+def test_validation_alone_plans_every_event(fixture):
+    parsed = parse_file(FIXTURES / fixture).bundle
+    b = replace(parsed, model=replace(parsed.model))    # no cached analyses
+    assert not has_errors(validate_model(b))
+    infos = b.model._event_infos
+    assert set(infos) == set(b.events)
+    for info in infos.values():
+        assert all(type(plan) is tuple
+                   for plan in (info.gates, info.steps, info.flow))
+        assert type(info.writes) is frozenset
 
 
 def test_priority_order_appends_unlisted():
