@@ -146,9 +146,10 @@ def machine_status(bundle: ModelBundle, config: Configuration,
     rejects an `M.block` of another kind); without one, never blocked."""
     if config.flags.get(f"{thimac}.block"):
         return MACHINE_BLOCKED
+    # a token that rests in the machine is alive; the thimac test comes
+    # first since it is cheaper than reading the enum member
     for tok in config.tokens.values():
-        if tok.alive and tok.thimac == thimac \
-                and tok.stage == ActionKind.PROCESS:
+        if tok.thimac == thimac and tok.stage is ActionKind.PROCESS:
             return MACHINE_BUSY
     return MACHINE_IDLE
 

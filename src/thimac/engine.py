@@ -44,6 +44,26 @@ Resolving and firing read flat tables: each event's firing plan, built
 with its region analysis (`EventInfo`), and the successor table of the
 compiled `Program`.
 
+Runs revisit few ticks once token names are set aside, so the compiled
+`Program` also holds a tick table, which `step` and `enabled_events`
+look the coming tick up in before they open it.  The key replaces each
+token label by the token's rank, the live tokens in injection order and
+then the tick's arrivals: it holds the live tokens' places, the arrival
+thimacs, the pending instances in the order the opening takes them,
+with subjects as ranks (a subject with no live token can only lapse,
+so all such share one mark), the store values and the bundle's initial
+overrides, which a counter reset reads.  An entry holds the opening's
+bindings and, once the tick has fired, where each token that moved or
+arrived rests, the store entries that changed, the next pending
+instances in pend order and the firings, all by rank; a hit reads the
+ranks back as this tick's labels and builds the next configuration as
+a fired tick does.  Ranks may stand for labels because a tick reads a
+label only to tell tokens apart and to order tied subjects, and the
+key holds that order.  A tick with nothing pending skips the table,
+since it costs less to open and fire than to replay.  A tick that
+raises is never recorded, a hit still rejects a label injected twice,
+and the table stops recording at `TICK_TABLE_PLACES`.
+
 A run ends at quiescence: nothing pending, no injections left, and no
 timer still counting.
 """
@@ -74,6 +94,10 @@ from .model import (
     initial_problem,
     injection_problem,
 )
+
+# A program's tick table stops recording once it holds this many places
+# in all: one per recorded tick and one per live or arriving token of it.
+TICK_TABLE_PLACES = 5000
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,14 +319,18 @@ def init(bundle: ModelBundle) -> Configuration:
                          timers, {}, {})
 
 
+def _check_label(label: str, config: Configuration, new):
+    """Raise E_DUP_ID when `label` is already taken by a token of
+    `config` or by this tick's injections `new`."""
+    if label in config.tokens or label in new:
+        raise TmError(E_DUP_ID, f"token label {label!r} injected twice")
+
+
 def _inject(prog: Program, arrivals, config: Configuration, tick: int):
-    """Label -> token for this tick's injections `arrivals`, and the
-    instances pending after `config` with the ones they pend added."""
+    """Label -> token for this tick's injections `arrivals`."""
     new = {}
     for inj in arrivals:
-        if inj.label in config.tokens or inj.label in new:
-            raise TmError(E_DUP_ID,
-                          f"token label {inj.label!r} injected twice")
+        _check_label(inj.label, config, new)
         t = prog.thimacs.get(inj.thimac)
         problem = injection_problem(t, inj.thimac)
         if problem is not None:
@@ -311,37 +339,30 @@ def _inject(prog: Program, arrivals, config: Configuration, tick: int):
                  else ActionKind.RELEASE)
         new[inj.label] = Token(inj.label, inj.thimac, stage,
                                len(config.tokens) + len(new), tick)
-    return new, dict.fromkeys(chain(config.pending, (
-        (eid, None) for inj in arrivals
-        for eid in prog.injection_events.get(inj.thimac, ()))))
+    return new
 
 
-def _open_tick(bundle: ModelBundle, config: Configuration):
-    """Start the tick after `config` without changing it: inject this
-    tick's tokens, then take every pending instance in priority order
-    and resolve it against the start of the tick, that is the stores of
-    `config` (injection moves no store) and the placements after
-    injection.  Returns the program, the tick, the injected tokens and
-    (event, pended subject, binding or None) per instance."""
-    prog = compile(bundle)
-    tick = config.tick + 1
-    new, pending = _inject(prog, bundle.arrivals.get(tick, ()), config, tick)
-    if not pending:
-        return prog, tick, new, []
-    if len(pending) > 1:
-        pending = sorted(pending, key=lambda entry: (
-            prog.priority[entry[0]], entry[1] is not None, entry[1] or ""))
+def _open_tick(prog: Program, config: Configuration, arrivals, order):
+    """Start the tick after `config` without changing it: inject its
+    `arrivals`, then resolve each pending instance of `order` against
+    the start of the tick, that is the stores of `config` (injection
+    moves no store) and the placements after injection.  Returns the
+    injected tokens and (event, pended subject, binding or None) per
+    instance."""
+    new = _inject(prog, arrivals, config, config.tick + 1)
+    if not order:
+        return new, []
     places = _placements(chain(config.tokens.values(), new.values()))
-    return prog, tick, new, [
-        (eid, subj, _resolve(prog, eid, subj, config, places))
-        for eid, subj in pending]
+    return new, [(eid, subj, _resolve(prog, eid, subj, config, places))
+                 for eid, subj in order]
 
 
-def step(bundle: ModelBundle, config: Configuration):
-    """Execute one tick; returns (new configuration, trace entry).  The
-    tick is resolved against `config` itself, then fired into the next
-    configuration, built once from fresh store tables and token copies."""
-    prog, tick, new, entries = _open_tick(bundle, config)
+def _fire(prog: Program, bundle: ModelBundle, config: Configuration, new,
+          opening):
+    """Fire the opened tick after `config` into the next configuration,
+    built once from fresh store tables and token copies; returns it
+    with the trace entry."""
+    tick = config.tick + 1
     tokens = {label: tok.copy() for label, tok in config.tokens.items()}
     tokens.update(new)
     cfg = Configuration(tick, dict(config.counters), dict(config.flags),
@@ -349,7 +370,7 @@ def step(bundle: ModelBundle, config: Configuration):
     fired, written, cofired = [], set(), set()
     # depth first: an instance's co-fires, pushed on top, all fire
     # before the next instance of the opening
-    stack = [entry for entry in reversed(entries) if entry[2] is not None]
+    stack = [entry for entry in reversed(opening) if entry[2] is not None]
     while stack:
         eid, subj, binding = stack.pop()
         if binding is None:
@@ -412,6 +433,170 @@ def step(bundle: ModelBundle, config: Configuration):
     return cfg, TraceEntry(tick, tuple(fired))
 
 
+# ---------------------------------------------------------------------------
+# The tick table
+# ---------------------------------------------------------------------------
+
+
+def _ranked(pairs, labels: list) -> tuple:
+    """(event, label) pairs flattened to (event, rank, ...), a rank
+    being an index into `labels`: None stays None and a label with no
+    rank becomes -1."""
+    flat = []
+    for eid, label in pairs:
+        flat += (eid, label if label is None else
+                 labels.index(label) if label in labels else -1)
+    return tuple(flat)
+
+
+def _labelled(ranked: tuple, labels: list) -> list:
+    """The (event, label) pairs of a `_ranked` tuple."""
+    flat = iter(ranked)
+    return [(eid, rank if rank is None else labels[rank])
+            for eid, rank in zip(flat, flat)]
+
+
+def _look_up(bundle: ModelBundle, config: Configuration):
+    """Key the tick after `config` with every token label replaced by
+    its rank, and look it up in the program's tick table.  Returns the
+    program, the key, the labels by rank (the live tokens in injection
+    order, then this tick's arrivals), the arrivals, the pending
+    instances in the order the opening resolves them (by priority, then
+    subject, none first) and the table's entry, None when unrecorded.
+    A tick with nothing pending gets no key.  A recorded tick still
+    checks its arrivals' labels, which the table does not hold."""
+    prog = compile(bundle)
+    arrivals = bundle.arrivals.get(config.tick + 1, ())
+    order = config.pending
+    if arrivals:
+        order = dict.fromkeys(chain(order, [
+            (eid, None) for inj in arrivals
+            for eid in prog.injection_events.get(inj.thimac, ())]))
+    if not order:
+        return prog, None, None, arrivals, order, None
+    if len(order) > 1:
+        order = sorted(order, key=lambda entry: (
+            prog.priority[entry[0]], entry[1] is not None, entry[1] or ""))
+    labels, places = [], []
+    for tok in config.tokens.values():
+        if tok.thimac is not None:
+            labels.append(tok.label)
+            places += (tok.thimac, tok.stage)
+    if arrivals:
+        labels += [inj.label for inj in arrivals]
+        places.append(tuple([inj.thimac for inj in arrivals]))
+    # after the places and pending ranks, each store table and the
+    # initial overrides as its size, its ids and its values
+    counters, flags, timers = config.counters, config.flags, config.timers
+    initial = bundle.initial
+    key = (tuple(places), _ranked(order, labels),
+           len(counters), *counters, *counters.values(),
+           len(flags), *flags, *flags.values(),
+           len(timers), *timers, *timers.values(),
+           len(initial), *initial, *initial.values())
+    entry = prog.ticks.get(key)
+    if entry is not None and arrivals:
+        new = set()
+        for inj in arrivals:
+            _check_label(inj.label, config, new)
+            new.add(inj.label)
+    return prog, key, labels, arrivals, order, entry
+
+
+def _changed(before: dict, after: dict) -> tuple:
+    """The (id, value, ...) entries of `after` that differ from `before`."""
+    flat = []
+    for sid, value in after.items():
+        if before[sid] is not value:
+            flat += (sid, value)
+    return tuple(flat)
+
+
+def _updated(table: dict, changes: tuple) -> dict:
+    """A copy of `table` with the `_changed` entries applied."""
+    table = dict(table)
+    if changes:
+        flat = iter(changes)
+        table.update(zip(flat, flat))
+    return table
+
+
+def _record(prog: Program, key, labels: list, opening, config=None,
+            cfg=None, fired=()):
+    """Record under `key` the opening's bindings and, when the tick
+    after `config` fired into `cfg`, its outcome: (rank, thimac, stage)
+    for each token that moved or arrived, the store entries that
+    changed, the pending instances and the firings.  Nothing is
+    recorded for a tick without a key, past the table's bound, nor for
+    a tick whose bindings or outcome name a label without a rank."""
+    if key is None:
+        return
+    entry = prog.ticks.get(key)
+    if entry is None:
+        if prog.tick_places + 1 + len(labels) > TICK_TABLE_PLACES:
+            return
+        enabled = _ranked([(eid, b.subject) for eid, _subj, b in opening
+                           if b is not None], labels)
+        if -1 in enabled:
+            return
+        prog.tick_places += 1 + len(labels)
+        entry = prog.ticks[key] = (enabled,)
+    if cfg is None or len(entry) > 1:
+        return
+    pending = _ranked(cfg.pending, labels)
+    fired = _ranked([(f.event, f.subject) for f in fired], labels)
+    if -1 in pending or -1 in fired:
+        return
+    moves = []
+    for rank, label in enumerate(labels):
+        tok, was = cfg.tokens[label], config.tokens.get(label)
+        if (was is None or was.thimac != tok.thimac
+                or was.stage is not tok.stage):
+            moves += (rank, tok.thimac, tok.stage)
+    prog.ticks[key] = (entry[0], tuple(moves),
+                       _changed(config.counters, cfg.counters),
+                       _changed(config.flags, cfg.flags),
+                       _changed(config.timers, cfg.timers), pending, fired)
+
+
+def _replay(prog: Program, config: Configuration, labels: list, arrivals,
+            entry):
+    """The next configuration and trace entry of the tick after
+    `config` recorded as `entry`, built as `_fire` builds them, with
+    ranks read back as `labels`."""
+    _enabled, moves, counters, flags, timers, pending, fired = entry
+    tick = config.tick + 1
+    tokens = {label: tok.copy() for label, tok in config.tokens.items()}
+    for seq, inj in enumerate(arrivals, len(config.tokens)):
+        tokens[inj.label] = Token(inj.label, None, None, seq, tick)
+    moves = iter(moves)
+    for rank, thimac, stage in zip(moves, moves, moves):
+        tok = tokens[labels[rank]]
+        tok.thimac = thimac
+        tok.stage = stage
+    info = prog.info
+    return (Configuration(tick, _updated(config.counters, counters),
+                          _updated(config.flags, flags),
+                          _updated(config.timers, timers), tokens,
+                          dict.fromkeys(_labelled(pending, labels))),
+            TraceEntry(tick, tuple([
+                FiredEvent(eid, subj, info[eid].event.bookkeeping)
+                for eid, subj in _labelled(fired, labels)])))
+
+
+def step(bundle: ModelBundle, config: Configuration):
+    """Execute one tick; returns (new configuration, trace entry).  A
+    tick the program's tick table has recorded is replayed; any other
+    is opened, fired and recorded."""
+    prog, key, labels, arrivals, order, entry = _look_up(bundle, config)
+    if entry is not None and len(entry) > 1:
+        return _replay(prog, config, labels, arrivals, entry)
+    new, opening = _open_tick(prog, config, arrivals, order)
+    cfg, trace_entry = _fire(prog, bundle, config, new, opening)
+    _record(prog, key, labels, opening, config, cfg, trace_entry.fired)
+    return cfg, trace_entry
+
+
 def quiescent(bundle: ModelBundle, config: Configuration) -> bool:
     """Nothing pending, no injections ahead (the bundle's last scheduled
     tick is done), no timer still counting."""
@@ -440,8 +625,12 @@ def enabled_events(bundle: ModelBundle, config: Configuration):
     """Instances that could fire in the upcoming tick, in priority
     order, with the subjects they would bind.  Includes the injections
     scheduled for that tick; ignores conflicts."""
-    return [(eid, b.subject) for eid, _subj, b in _open_tick(bundle, config)[3]
-            if b is not None]
+    prog, key, labels, arrivals, order, entry = _look_up(bundle, config)
+    if entry is not None:
+        return _labelled(entry[0], labels)
+    opening = _open_tick(prog, config, arrivals, order)[1]
+    _record(prog, key, labels, opening)
+    return [(eid, b.subject) for eid, _subj, b in opening if b is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -674,7 +674,9 @@ class Program:
     event analyses, priority ranks, chronology successors as (id,
     co-fires?, carries the subject?) per event, and the events to pend
     when a token lands in a thimac or a timer runs out.  The schedule
-    and initial overrides are read at run time instead."""
+    and initial overrides are read at run time instead.  `ticks` is the
+    engine's tick table, filled as bundles sharing the program run, and
+    `tick_places` the token places it has recorded so far."""
 
     def __init__(self, bundle: "ModelBundle"):
         model = bundle.model
@@ -705,6 +707,8 @@ class Program:
         except KeyError as err:
             raise TmError(E_UNRESOLVED_REF, f"chronology names unknown "
                                             f"event {err.args[0]}") from None
+        self.ticks: dict = {}
+        self.tick_places = 0
 
 
 def compile(bundle: "ModelBundle") -> Program:

@@ -29,12 +29,13 @@ from thimac import (
     E_SYNTAX,
     E_UNRESOLVED_REF,
 )
-from thimac import model
+from thimac import engine, model
 from thimac.behavior import reachable_configs
 from thimac.dsl import parse_file
 from thimac.engine import (
     Configuration,
     FiredEvent,
+    Token,
     TraceEntry,
     enabled_events,
     filter_displayed,
@@ -879,3 +880,177 @@ def test_replaced_priority_is_honoured():
         [("lower", None)], [("raise", None)]]
     # the original keeps its own order
     assert [fired_list(e) for e in run(b)[1]] == first
+
+
+# --- the tick table -----------------------------------------------------------------
+
+def cold(b):
+    """`b` on a fresh copy of its model, whose program has an empty tick
+    table."""
+    return dataclasses.replace(b, model=dataclasses.replace(b.model))
+
+
+def reset_bundles():
+    """Two bundles on one model that differ only in the initial value a
+    counter reset restores.  Tick 1 leaves c at 2 in both (the bump
+    lapses when c starts at 2), so tick 2 opens on equal stores, and its
+    reset brings c back to 1 or 2, which decides whether f is set."""
+    base = bundle(
+        thimacs=[source("a"), source("b"), counter("c"), flag("f")],
+        triggers=[TriggerEdge(ref("a.release"), ref("c.create"), Effect.INC,
+                              (CounterCmp("c", "<", 2),)),
+                  TriggerEdge(ref("b.release"), ref("c.create"), Effect.RESET,
+                              ()),
+                  TriggerEdge(ref("c.create"), ref("f.create"), Effect.SET,
+                              (CounterCmp("c", "=", 2),))],
+        events=[Event("bump", frozenset({ref("a.release"), ref("c.create")})),
+                Event("zero", frozenset({ref("b.release"), ref("c.create"),
+                                         ref("f.create")}))],
+        schedule=[Injection(1, "a", "x"), Injection(2, "b", "y")])
+    return [dataclasses.replace(base, initial={"c": value}) for value in (1, 2)]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_bundles_sharing_a_program_reset_to_their_own_initial(first):
+    bundles = reset_bundles()
+    assert model.compile(bundles[0]) is model.compile(bundles[1])
+    expected = [run(cold(b)) for b in bundles]
+    assert [(cfg.counters["c"], cfg.flags["f"]) for cfg, _ in expected] == [
+        (1, False), (2, True)]
+    for i in (first, 1 - first):
+        assert run(bundles[i]) == expected[i]
+
+
+def _in_m(*tokens, pending=("t1",)):
+    """Tick 1 of `line_bundle` done, with (label, stage) tokens in M in
+    injection order and work pended for the `pending` labels."""
+    return Configuration(1, {"c": 2}, {}, {}, {
+        label: Token(label, "M", stage, seq, 1)
+        for seq, (label, stage) in enumerate(tokens)},
+        dict.fromkeys(("work", label) for label in pending))
+
+
+def _guard_variants(kind):
+    store, atom, make_hold, _flip = GUARD_ATOMS[kind]
+    b = guarded_arrival(store, [TriggerEdge(
+        ref("M.receive"), ref("hits.create"), Effect.INC, (atom,))])
+    held = init(b)
+    make_hold(held)
+    return b, (init(b), held), ([], [("arrive", "t1")])
+
+
+# Pairs of configurations whose ticks differ in one input of the tick
+# key, with what each tick fires.
+RECEIVE, PROCESS = ActionKind.RECEIVE, ActionKind.PROCESS
+KEY_INPUTS = {
+    # t0 holds M's one process slot, or leaves it free for t1
+    "stage": lambda: (line_bundle(), (
+        _in_m(("t0", PROCESS), ("t1", RECEIVE)),
+        _in_m(("t0", RECEIVE), ("t1", RECEIVE))), ([], [("work", "t1")])),
+    # the opening takes tied subjects in label order, so "a" takes the
+    # slot from either rank
+    "pending order": lambda: (line_bundle(), (
+        _in_m(("a", RECEIVE), ("b", RECEIVE), pending=("a", "b")),
+        _in_m(("b", RECEIVE), ("a", RECEIVE), pending=("b", "a"))),
+        ([("work", "a")], [("work", "a")])),
+    **{f"{kind} store": lambda kind=kind: _guard_variants(kind)
+       for kind in ("counter", "flag", "timer expiry")},
+}
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("what", sorted(KEY_INPUTS))
+def test_a_recorded_tick_is_not_replayed_for_another(what, first):
+    b, configs, fires = KEY_INPUTS[what]()
+    # a single step on a fresh model cannot replay anything
+    expected = [step(cold(b), cfg) for cfg in configs]
+    assert [fired_list(entry) for _cfg, entry in expected] == list(fires)
+    warm = cold(b)
+    for i in (first, 1 - first):
+        assert step(warm, configs[i]) == expected[i]
+
+
+@pytest.mark.parametrize("schedule, tick", [
+    ([("t1", 1), ("t1", 1)], 1),                    # two arrivals share a label
+    ([("t1", 1), ("t2", 1), ("t1", 2)], 2),         # the label is taken
+], ids=["arrivals", "taken"])
+def test_a_recorded_tick_still_rejects_a_label_twice(schedule, tick):
+    b = line_bundle(schedule=[Injection(1, "env", "t1"),
+                              Injection(1, "env", "t2"),
+                              Injection(2, "env", "t3")])
+    run(b)
+    dup = dataclasses.replace(b, schedule=tuple(
+        Injection(at, "env", label) for label, at in schedule))
+    cfg = init(dup)
+    while cfg.tick < tick - 1:
+        cfg = step(dup, cfg)[0]
+    # the same tick with fresh labels is recorded
+    fresh = dataclasses.replace(b, schedule=tuple(
+        Injection(inj.tick, "env", f"n{k}")
+        for k, inj in enumerate(dup.schedule)))
+    assert engine._look_up(fresh, cfg)[-1] is not None
+    for call in (step, enabled_events):
+        with pytest.raises(TmError) as err:
+            call(dup, cfg)
+        assert err.value.code == E_DUP_ID
+        assert err.value.message == "token label 't1' injected twice"
+
+
+def test_a_tick_that_raises_is_never_recorded():
+    b = line_bundle(hi=1, guard=False,
+                    schedule=[Injection(1, "env", "t1"),
+                              Injection(2, "env", "t2")])
+    for shift in (0, 0, 3):
+        later = dataclasses.replace(b, schedule=tuple(
+            dataclasses.replace(inj, tick=inj.tick + shift)
+            for inj in b.schedule))
+        with pytest.raises(TmError) as err:
+            run(later)
+        assert err.value.code == E_COUNTER_RANGE
+        assert f"at tick {2 + shift} " in err.value.message
+
+
+def pile_bundle(n):
+    """One token a tick for n ticks, each resting in M for good, so tick
+    k sees k tokens."""
+    return bundle(
+        thimacs=[source("env"), machine("M")],
+        flows=[FlowEdge(ref("env.release"), ref("env.transfer")),
+               FlowEdge(ref("env.transfer"), ref("M.receive"))],
+        events=[Event("arrive", frozenset({ref("env.release"),
+                                           ref("env.transfer"),
+                                           ref("M.receive")}))],
+        schedule=[Injection(k, "env", f"t{k}") for k in range(1, n + 1)])
+
+
+def countdown_bundle():
+    """An event that pends itself every tick while a timer counts down
+    from 6000."""
+    return bundle(
+        thimacs=[source("env"), timer("tm", 6000), flag("f")],
+        triggers=[TriggerEdge(ref("env.release"), ref("tm.create"),
+                              Effect.START, ())],
+        events=[Event("start", frozenset({ref("env.release"),
+                                          ref("tm.create")})),
+                Event("again", frozenset({ref("f.create")}))],
+        behavior=[("start", "again"), ("again", "again")],
+        schedule=[Injection(1, "env", "t1")])
+
+
+# Runs whose ticks all differ and hold more places than the table
+# records: tokens piling up, and a timer counting down for long.
+UNBOUNDED = {"pile": lambda: (pile_bundle(130), None),
+             "timer": lambda: (countdown_bundle(), 6000)}
+
+
+@pytest.mark.parametrize("what", sorted(UNBOUNDED))
+def test_the_tick_table_stops_recording_at_its_bound(what):
+    b, ticks = UNBOUNDED[what]()
+    expected = run(cold(b), ticks)
+    prog = model.compile(b)
+    for _ in range(2):
+        assert run(b, ticks) == expected
+        # every tick of these runs differs from the others
+        assert 0 < len(prog.ticks) < expected[0].tick
+        assert prog.tick_places <= engine.TICK_TABLE_PLACES
+        assert prog.tick_places > engine.TICK_TABLE_PLACES - 140

@@ -17,7 +17,8 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from thimac import E_COUNTER_RANGE, Injection, ThimacKind, TmError
+from thimac import E_COUNTER_RANGE, Injection, ThimacKind, TmError, engine
+from thimac.dsl import parse_file
 from thimac.engine import enabled_events, format_trace_records, init, quiescent, step
 
 from test_acceptance import random_bundle
@@ -27,13 +28,19 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
 SEEDS = st.integers(0, 10**6)
 MAX_TICKS = 40
 DIGESTS = Path(__file__).resolve().parent / "data" / "engine_trace_digests.json"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def drawn_run(seed):
-    """Criterion 6's random bundle for `seed` with a schedule of up to
-    eight tokens in ticks 1-4, each landing in the source or a machine."""
+    """Criterion 6's random bundle for `seed` with a drawn schedule."""
     rng = random.Random(seed)
     bundle = random_bundle(rng, seed)
+    return drawn_schedule(rng, bundle)
+
+
+def drawn_schedule(rng, bundle):
+    """`bundle` with a schedule of up to eight tokens in ticks 1-4, each
+    landing in the source or a machine."""
     targets = ["env"] + [t.id for t in bundle.model.thimacs
                          if t.kind == ThimacKind.MACHINE]
     schedule = tuple(Injection(rng.randint(1, 4), rng.choice(targets), f"t{j}")
@@ -216,3 +223,40 @@ def test_drawn_runs_tie_tokens():
         ticks = [inj.tick for inj in drawn_run(seed).schedule]
         tied += len(ticks) > len(set(ticks))
     assert tied > 150
+
+
+def relabelled(bundle, rename):
+    return dataclasses.replace(bundle, schedule=tuple(
+        dataclasses.replace(inj, label=rename[inj.label])
+        for inj in bundle.schedule))
+
+
+def test_a_warm_tick_table_gives_the_cold_run(monkeypatch):
+    def steps(bundle):
+        # every configuration in order, the trace and the error code;
+        # the repr holds the order of tokens and pending instances too
+        configs = []
+        run = trace_of(bundle, lambda _pre, cfg, _entry: configs.append(cfg))
+        return repr((configs, run))
+
+    def cold(bundle):
+        # a fresh copy of the model, whose table records nothing
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "TICK_TABLE_PLACES", -1)
+            return steps(dataclasses.replace(
+                bundle, model=dataclasses.replace(bundle.model)))
+
+    inputs = [drawn_run(seed) for seed in range(300)] + [
+        parse_file(FIXTURES / name).bundle
+        for name in ("door.tm", "phone_line.tm")]
+    rng = random.Random(0)
+    for b in inputs:
+        labels = sorted({inj.label for inj in b.schedule})
+        renamed = relabelled(b, {label: f"{label}'" for label in labels})
+        flipped = relabelled(b, dict(zip(labels, reversed(labels))))
+        # the first run records the ticks the others replay; flipping
+        # the labels changes the order the opening takes tied subjects
+        # in, and other schedules meet other ticks of the same model
+        others = [drawn_schedule(rng, b) for _ in range(3)]
+        for warm in (b, b, renamed, flipped, *others):
+            assert steps(warm) == cold(warm)
