@@ -73,6 +73,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.ticks is not None and args.ticks < 0:
+        args.parser.error(f"--ticks must be at least 0, not {args.ticks}")
     bundle = _load(dsl.parse, args.model).bundle
     _cfg, trace = run(bundle, max_ticks=args.ticks)
     if args.displayed:

@@ -7,14 +7,15 @@ and the pending event instances for the next tick.  Each step:
    the target's receive action when it has one, else at release) and
    pends every event whose region touches the target thimac;
 2. resolves each pending instance, by priority and then subject (none
-   first), against the start of the tick: guards read the stores of the
-   previous configuration and binding the token placements after
-   injection.  This opening reads the previous configuration in place
-   and changes nothing in it; the step builds the next configuration
-   only then.  An instance that fails its guards or cannot bind
-   tokens lapses, one whose writes overlap an earlier firing this tick
-   defers to the next tick, and the rest fire; `enabled_events` runs
-   this same opening and stops short of conflicts and firing;
+   first, then the older token first), against the start of the tick:
+   guards read the stores of the previous configuration and binding
+   the token placements after injection.  This opening reads the
+   previous configuration in place and changes nothing in it; the step
+   builds the next configuration only then.  An instance that fails its
+   guards or cannot bind tokens lapses, one whose writes overlap an
+   earlier firing this tick defers to the next tick, and the rest fire;
+   `enabled_events` runs this same opening and stops short of conflicts
+   and firing;
 3. firing moves the bound tokens (flow paths shift every path's token
    to its sink; progression advances one token between the stages of a
    single thimac), then applies the induced triggers in canonical order
@@ -46,23 +47,22 @@ compiled `Program`.
 
 Runs revisit few ticks once token names are set aside, so the compiled
 `Program` also holds a tick table, which `step` and `enabled_events`
-look the coming tick up in before they open it.  The key replaces each
-token label by the token's rank, the live tokens in injection order and
-then the tick's arrivals: it holds the live tokens' places, the arrival
-thimacs, the pending instances in the order the opening takes them,
-with subjects as ranks (a subject with no live token can only lapse,
-so all such share one mark), the store values and the bundle's initial
-overrides, which a counter reset reads.  An entry holds the opening's
-bindings and, once the tick has fired, where each token that moved or
-arrived rests, the store entries that changed, the next pending
-instances in pend order and the firings, all by rank; a hit reads the
-ranks back as this tick's labels and builds the next configuration as
-a fired tick does.  Ranks may stand for labels because a tick reads a
-label only to tell tokens apart and to order tied subjects, and the
-key holds that order.  A tick with nothing pending skips the table,
-since it costs less to open and fire than to replay.  A tick that
-raises is never recorded, a hit still rejects a label injected twice,
-and the table stops recording at `TICK_TABLE_PLACES`.
+look the coming tick up in once its arrivals are injected.  The key
+replaces each token label by the token's rank, the live tokens in
+injection order and then the tick's arrivals: it holds the live
+tokens' places, the arrival thimacs, the pending instances in the order
+the opening takes them, with subjects as ranks (a subject with no live
+token can only lapse, so all such share one mark), the store values
+and the bundle's initial overrides, which a counter reset reads.  A
+rank may stand for a label because a label only tells tokens apart.
+An entry, recorded only by `step`, is one whole fired tick by rank:
+the opening's bindings, where each ranked token rests after it, the
+store values, the next pending instances and the firings.
+`enabled_events` reads an entry's bindings or opens the tick without
+recording it, and a hit in `step` builds the next configuration as a
+fired tick does.  A tick with nothing pending skips the table, since
+it costs less to fire than to replay; a tick that raises is never
+recorded, and the table stops recording at `TICK_TABLE_PLACES`.
 
 A run ends at quiescence: nothing pending, no injections left, and no
 timer still counting.
@@ -319,42 +319,44 @@ def init(bundle: ModelBundle) -> Configuration:
                          timers, {}, {})
 
 
-def _check_label(label: str, config: Configuration, new):
-    """Raise E_DUP_ID when `label` is already taken by a token of
-    `config` or by this tick's injections `new`."""
-    if label in config.tokens or label in new:
-        raise TmError(E_DUP_ID, f"token label {label!r} injected twice")
-
-
-def _inject(prog: Program, arrivals, config: Configuration, tick: int):
-    """Label -> token for this tick's injections `arrivals`."""
+def _inject(prog: Program, arrivals, config: Configuration):
+    """Label -> token for the injections `arrivals` of the tick after
+    `config`, each at the stage its thimac lands tokens at.  Raises
+    E_DUP_ID for a label already taken and E_UNRESOLVED_REF for a
+    thimac that takes no injection."""
     new = {}
     for inj in arrivals:
-        _check_label(inj.label, config, new)
-        t = prog.thimacs.get(inj.thimac)
-        problem = injection_problem(t, inj.thimac)
-        if problem is not None:
-            raise TmError(*problem)
-        stage = (ActionKind.RECEIVE if ActionKind.RECEIVE in t.effective_actions
-                 else ActionKind.RELEASE)
-        new[inj.label] = Token(inj.label, inj.thimac, stage,
-                               len(config.tokens) + len(new), tick)
+        label, tid = inj.label, inj.thimac
+        if label in config.tokens or label in new:
+            raise TmError(E_DUP_ID, f"token label {label!r} injected twice")
+        stage = prog.landing.get(tid)
+        if stage is None:
+            raise TmError(*injection_problem(prog.thimacs.get(tid), tid))
+        new[label] = Token(label, tid, stage, len(config.tokens) + len(new),
+                           config.tick + 1)
     return new
 
 
-def _open_tick(prog: Program, config: Configuration, arrivals, order):
-    """Start the tick after `config` without changing it: inject its
-    `arrivals`, then resolve each pending instance of `order` against
-    the start of the tick, that is the stores of `config` (injection
-    moves no store) and the placements after injection.  Returns the
-    injected tokens and (event, pended subject, binding or None) per
+def _open_tick(prog: Program, config: Configuration, new, order):
+    """Resolve each pending instance of `order` against the start of the
+    tick after `config`, without changing it: the stores of `config`
+    (injection moves no store) and the placements after the injected
+    tokens `new`.  Returns (event, pended subject, binding or None) per
     instance."""
-    new = _inject(prog, arrivals, config, config.tick + 1)
     if not order:
-        return new, []
+        return []
     places = _placements(chain(config.tokens.values(), new.values()))
-    return new, [(eid, subj, _resolve(prog, eid, subj, config, places))
-                 for eid, subj in order]
+    return [(eid, subj, _resolve(prog, eid, subj, config, places))
+            for eid, subj in order]
+
+
+def _next(config: Configuration, new, counters, flags, timers):
+    """The configuration after `config` as a tick starts it: copies of
+    its tokens plus the injected `new`, the given store tables, and
+    nothing pending yet."""
+    tokens = {label: tok.copy() for label, tok in config.tokens.items()}
+    tokens.update(new)
+    return Configuration(config.tick + 1, counters, flags, timers, tokens, {})
 
 
 def _fire(prog: Program, bundle: ModelBundle, config: Configuration, new,
@@ -362,11 +364,8 @@ def _fire(prog: Program, bundle: ModelBundle, config: Configuration, new,
     """Fire the opened tick after `config` into the next configuration,
     built once from fresh store tables and token copies; returns it
     with the trace entry."""
-    tick = config.tick + 1
-    tokens = {label: tok.copy() for label, tok in config.tokens.items()}
-    tokens.update(new)
-    cfg = Configuration(tick, dict(config.counters), dict(config.flags),
-                        dict(config.timers), tokens, {})
+    cfg = _next(config, new, dict(config.counters), dict(config.flags),
+                dict(config.timers))
     fired, written, cofired = [], set(), set()
     # depth first: an instance's co-fires, pushed on top, all fire
     # before the next instance of the opening
@@ -417,7 +416,7 @@ def _fire(prog: Program, bundle: ModelBundle, config: Configuration, new,
         if not (decl.lo <= value <= decl.hi):
             raise TmError(E_COUNTER_RANGE,
                           f"counter {tid} left its range {decl.lo}..{decl.hi} "
-                          f"at tick {tick} (value {value})")
+                          f"at tick {cfg.tick} (value {value})")
 
     for tid, ts in cfg.timers.items():
         if ts.remaining is None:
@@ -430,7 +429,7 @@ def _fire(prog: Program, bundle: ModelBundle, config: Configuration, new,
         for eid in prog.expiry_events.get(tid, ()):
             cfg.pending[eid, None] = None
 
-    return cfg, TraceEntry(tick, tuple(fired))
+    return cfg, TraceEntry(cfg.tick, tuple(fired))
 
 
 # ---------------------------------------------------------------------------
@@ -457,34 +456,36 @@ def _labelled(ranked: tuple, labels: list) -> list:
 
 
 def _look_up(bundle: ModelBundle, config: Configuration):
-    """Key the tick after `config` with every token label replaced by
-    its rank, and look it up in the program's tick table.  Returns the
-    program, the key, the labels by rank (the live tokens in injection
-    order, then this tick's arrivals), the arrivals, the pending
-    instances in the order the opening resolves them (by priority, then
-    subject, none first) and the table's entry, None when unrecorded.
-    A tick with nothing pending gets no key.  A recorded tick still
-    checks its arrivals' labels, which the table does not hold."""
+    """Inject the arrivals of the tick after `config`, key the tick with
+    every token label replaced by its rank, and look it up in the
+    program's tick table.  Returns the program, the key, the labels by
+    rank (the live tokens in injection order, then the arrivals), the
+    injected tokens, the pending instances in the order the opening
+    resolves them (by priority, then subject: none first, then the
+    older token, then a subject with no token) and the table's entry,
+    None when unrecorded.  A tick with nothing pending gets no key."""
     prog = compile(bundle)
-    arrivals = bundle.arrivals.get(config.tick + 1, ())
+    new = _inject(prog, bundle.arrivals.get(config.tick + 1, ()), config)
     order = config.pending
-    if arrivals:
+    if new:
         order = dict.fromkeys(chain(order, [
-            (eid, None) for inj in arrivals
-            for eid in prog.injection_events.get(inj.thimac, ())]))
+            (eid, None) for tok in new.values()
+            for eid in prog.injection_events.get(tok.thimac, ())]))
     if not order:
-        return prog, None, None, arrivals, order, None
+        return prog, None, None, new, order, None
+    tokens = config.tokens
     if len(order) > 1:
         order = sorted(order, key=lambda entry: (
-            prog.priority[entry[0]], entry[1] is not None, entry[1] or ""))
+            prog.priority[entry[0]], entry[1] is not None,
+            tokens[entry[1]].seq if entry[1] in tokens else len(tokens)))
     labels, places = [], []
-    for tok in config.tokens.values():
+    for tok in tokens.values():
         if tok.thimac is not None:
             labels.append(tok.label)
             places += (tok.thimac, tok.stage)
-    if arrivals:
-        labels += [inj.label for inj in arrivals]
-        places.append(tuple([inj.thimac for inj in arrivals]))
+    if new:
+        labels += new
+        places.append(tuple([tok.thimac for tok in new.values()]))
     # after the places and pending ranks, each store table and the
     # initial overrides as its size, its ids and its values
     counters, flags, timers = config.counters, config.flags, config.timers
@@ -494,106 +495,65 @@ def _look_up(bundle: ModelBundle, config: Configuration):
            len(flags), *flags, *flags.values(),
            len(timers), *timers, *timers.values(),
            len(initial), *initial, *initial.values())
-    entry = prog.ticks.get(key)
-    if entry is not None and arrivals:
-        new = set()
-        for inj in arrivals:
-            _check_label(inj.label, config, new)
-            new.add(inj.label)
-    return prog, key, labels, arrivals, order, entry
+    return prog, key, labels, new, order, prog.ticks.get(key)
 
 
-def _changed(before: dict, after: dict) -> tuple:
-    """The (id, value, ...) entries of `after` that differ from `before`."""
-    flat = []
-    for sid, value in after.items():
-        if before[sid] is not value:
-            flat += (sid, value)
-    return tuple(flat)
-
-
-def _updated(table: dict, changes: tuple) -> dict:
-    """A copy of `table` with the `_changed` entries applied."""
-    table = dict(table)
-    if changes:
-        flat = iter(changes)
-        table.update(zip(flat, flat))
-    return table
-
-
-def _record(prog: Program, key, labels: list, opening, config=None,
-            cfg=None, fired=()):
-    """Record under `key` the opening's bindings and, when the tick
-    after `config` fired into `cfg`, its outcome: (rank, thimac, stage)
-    for each token that moved or arrived, the store entries that
-    changed, the pending instances and the firings.  Nothing is
-    recorded for a tick without a key, past the table's bound, nor for
-    a tick whose bindings or outcome name a label without a rank."""
-    if key is None:
+def _record(prog: Program, key, labels: list, opening, cfg: Configuration,
+            fired):
+    """Record under `key` the tick that opened as `opening` and fired
+    into `cfg`, by rank: the opening's bindings, (thimac, stage) of each
+    ranked token after the tick, the store values, the pending
+    instances and the firings.  Nothing is recorded for a tick without
+    a key, past the table's bound, nor for a tick whose bindings or
+    outcome name a label without a rank."""
+    if key is None or prog.tick_places + 1 + len(labels) > TICK_TABLE_PLACES:
         return
-    entry = prog.ticks.get(key)
-    if entry is None:
-        if prog.tick_places + 1 + len(labels) > TICK_TABLE_PLACES:
-            return
-        enabled = _ranked([(eid, b.subject) for eid, _subj, b in opening
-                           if b is not None], labels)
-        if -1 in enabled:
-            return
-        prog.tick_places += 1 + len(labels)
-        entry = prog.ticks[key] = (enabled,)
-    if cfg is None or len(entry) > 1:
-        return
+    enabled = _ranked([(eid, b.subject) for eid, _subj, b in opening
+                       if b is not None], labels)
     pending = _ranked(cfg.pending, labels)
     fired = _ranked([(f.event, f.subject) for f in fired], labels)
-    if -1 in pending or -1 in fired:
+    if -1 in enabled or -1 in pending or -1 in fired:
         return
-    moves = []
-    for rank, label in enumerate(labels):
-        tok, was = cfg.tokens[label], config.tokens.get(label)
-        if (was is None or was.thimac != tok.thimac
-                or was.stage is not tok.stage):
-            moves += (rank, tok.thimac, tok.stage)
-    prog.ticks[key] = (entry[0], tuple(moves),
-                       _changed(config.counters, cfg.counters),
-                       _changed(config.flags, cfg.flags),
-                       _changed(config.timers, cfg.timers), pending, fired)
+    places = []
+    for label in labels:
+        tok = cfg.tokens[label]
+        places += (tok.thimac, tok.stage)
+    prog.tick_places += 1 + len(labels)
+    prog.ticks[key] = (enabled, tuple(places), tuple(cfg.counters.values()),
+                       tuple(cfg.flags.values()), tuple(cfg.timers.values()),
+                       pending, fired)
 
 
-def _replay(prog: Program, config: Configuration, labels: list, arrivals,
-            entry):
+def _replay(prog: Program, config: Configuration, labels: list, new, entry):
     """The next configuration and trace entry of the tick after
-    `config` recorded as `entry`, built as `_fire` builds them, with
+    `config`, with its injected tokens `new`, recorded as `entry`, with
     ranks read back as `labels`."""
-    _enabled, moves, counters, flags, timers, pending, fired = entry
-    tick = config.tick + 1
-    tokens = {label: tok.copy() for label, tok in config.tokens.items()}
-    for seq, inj in enumerate(arrivals, len(config.tokens)):
-        tokens[inj.label] = Token(inj.label, None, None, seq, tick)
-    moves = iter(moves)
-    for rank, thimac, stage in zip(moves, moves, moves):
-        tok = tokens[labels[rank]]
+    _enabled, places, counters, flags, timers, pending, fired = entry
+    cfg = _next(config, new, dict(zip(config.counters, counters)),
+                dict(zip(config.flags, flags)),
+                dict(zip(config.timers, timers)))
+    tokens = cfg.tokens
+    places = iter(places)
+    for label, thimac, stage in zip(labels, places, places):
+        tok = tokens[label]
         tok.thimac = thimac
         tok.stage = stage
-    info = prog.info
-    return (Configuration(tick, _updated(config.counters, counters),
-                          _updated(config.flags, flags),
-                          _updated(config.timers, timers), tokens,
-                          dict.fromkeys(_labelled(pending, labels))),
-            TraceEntry(tick, tuple([
-                FiredEvent(eid, subj, info[eid].event.bookkeeping)
-                for eid, subj in _labelled(fired, labels)])))
+    cfg.pending.update(dict.fromkeys(_labelled(pending, labels)))
+    return cfg, TraceEntry(cfg.tick, tuple([
+        FiredEvent(eid, subj, prog.info[eid].event.bookkeeping)
+        for eid, subj in _labelled(fired, labels)]))
 
 
 def step(bundle: ModelBundle, config: Configuration):
     """Execute one tick; returns (new configuration, trace entry).  A
     tick the program's tick table has recorded is replayed; any other
     is opened, fired and recorded."""
-    prog, key, labels, arrivals, order, entry = _look_up(bundle, config)
-    if entry is not None and len(entry) > 1:
-        return _replay(prog, config, labels, arrivals, entry)
-    new, opening = _open_tick(prog, config, arrivals, order)
+    prog, key, labels, new, order, entry = _look_up(bundle, config)
+    if entry is not None:
+        return _replay(prog, config, labels, new, entry)
+    opening = _open_tick(prog, config, new, order)
     cfg, trace_entry = _fire(prog, bundle, config, new, opening)
-    _record(prog, key, labels, opening, config, cfg, trace_entry.fired)
+    _record(prog, key, labels, opening, cfg, trace_entry.fired)
     return cfg, trace_entry
 
 
@@ -624,13 +584,13 @@ def run(bundle: ModelBundle, max_ticks: Optional[int] = None):
 def enabled_events(bundle: ModelBundle, config: Configuration):
     """Instances that could fire in the upcoming tick, in priority
     order, with the subjects they would bind.  Includes the injections
-    scheduled for that tick; ignores conflicts."""
-    prog, key, labels, arrivals, order, entry = _look_up(bundle, config)
+    scheduled for that tick; ignores conflicts.  A recorded tick is read
+    from the tick table; any other is opened, not recorded."""
+    prog, _key, labels, new, order, entry = _look_up(bundle, config)
     if entry is not None:
         return _labelled(entry[0], labels)
-    opening = _open_tick(prog, config, arrivals, order)[1]
-    _record(prog, key, labels, opening)
-    return [(eid, b.subject) for eid, _subj, b in opening if b is not None]
+    return [(eid, b.subject) for eid, _subj, b
+            in _open_tick(prog, config, new, order) if b is not None]
 
 
 # ---------------------------------------------------------------------------

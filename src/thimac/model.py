@@ -672,8 +672,9 @@ def _analyse(model: StaticModel, event: Event) -> EventInfo:
 class Program:
     """A bundle's schedule-independent analysis, built by `compile`: the
     event analyses, priority ranks, chronology successors as (id,
-    co-fires?, carries the subject?) per event, and the events to pend
-    when a token lands in a thimac or a timer runs out.  The schedule
+    co-fires?, carries the subject?) per event, the events to pend when
+    a token lands in a thimac or a timer runs out, and where a token
+    injected into a thimac lands (receive, else release).  The schedule
     and initial overrides are read at run time instead.  `ticks` is the
     engine's tick table, filled as bundles sharing the program run, and
     `tick_places` the token places it has recorded so far."""
@@ -687,6 +688,10 @@ class Program:
         self.info = {}
         self.injection_events: dict = {}
         self.expiry_events: dict = {}
+        receive, release = ActionKind.RECEIVE, ActionKind.RELEASE
+        self.landing = {
+            t.id: receive if receive in t.effective_actions else release
+            for t in model.thimacs if injection_problem(t, t.id) is None}
         successor = {}
         for eid, event in events.items():
             info = self.info[eid] = model.event_info(event)

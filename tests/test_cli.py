@@ -96,6 +96,15 @@ def test_run_keeps_bookkeeping_by_default(capsys):
     assert out.splitlines() == ['1\tE1\t"S1"\t0', '1\tE3\t"S1"\t1']
 
 
+def test_run_negative_ticks_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", DOOR_TM, "--ticks", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--ticks must be at least 0, not -1" in captured.err
+
+
 def test_run_invalid_model(tmp_path, capsys):
     bad = tmp_path / "bad.tm"
     bad.write_text("model m\nflow a.release -> b.receive\n")

@@ -261,6 +261,35 @@ def test_process_capacity_blocks_follower():
     assert (tok.thimac, tok.stage) == ("M", ActionKind.RECEIVE)
 
 
+def two_feeds_bundle(labels):
+    """Sources s1 and s2 each feed one token of `labels` into M at tick
+    1, through events e1 and e2, and each arrival pends work on it."""
+    def feed(src):
+        return Event(f"e{src[1]}", frozenset({
+            ref(f"{src}.release"), ref(f"{src}.transfer"), ref("M.receive")}))
+    return bundle(
+        thimacs=[source("s1"), source("s2"), machine("M")],
+        flows=[FlowEdge(ref("s1.release"), ref("s1.transfer")),
+               FlowEdge(ref("s1.transfer"), ref("M.receive")),
+               FlowEdge(ref("s2.release"), ref("s2.transfer")),
+               FlowEdge(ref("s2.transfer"), ref("M.receive"))],
+        events=[feed("s1"), feed("s2"),
+                Event("work", frozenset({ref("M.process")}))],
+        behavior=[("e1", "work"), ("e2", "work")],
+        priority=["e1", "e2", "work"],
+        schedule=[Injection(1, "s1", labels[0]), Injection(1, "s2", labels[1])],
+    )
+
+
+@pytest.mark.parametrize("labels", [("a", "b"), ("b", "a")])
+def test_tied_subjects_go_older_token_first(labels):
+    # work is pended for both tokens; e1's token, injected first, takes
+    # M's one process slot whatever the labels are
+    _cfg, trace = run(two_feeds_bundle(labels))
+    assert [fired_list(e) for e in trace[:2]] == [
+        [("e1", labels[0]), ("e2", labels[1])], [("work", labels[0])]]
+
+
 def test_unpicked_source_token_drains():
     b = line_bundle(schedule=[Injection(1, "env", "t1"),
                               Injection(1, "env", "t2")])
@@ -947,12 +976,12 @@ KEY_INPUTS = {
     "stage": lambda: (line_bundle(), (
         _in_m(("t0", PROCESS), ("t1", RECEIVE)),
         _in_m(("t0", RECEIVE), ("t1", RECEIVE))), ([], [("work", "t1")])),
-    # the opening takes tied subjects in label order, so "a" takes the
-    # slot from either rank
+    # the opening takes tied subjects older token first, so the token
+    # of rank 0 takes the slot under either label
     "pending order": lambda: (line_bundle(), (
         _in_m(("a", RECEIVE), ("b", RECEIVE), pending=("a", "b")),
         _in_m(("b", RECEIVE), ("a", RECEIVE), pending=("b", "a"))),
-        ([("work", "a")], [("work", "a")])),
+        ([("work", "a")], [("work", "b")])),
     **{f"{kind} store": lambda kind=kind: _guard_variants(kind)
        for kind in ("counter", "flag", "timer expiry")},
 }
@@ -968,6 +997,54 @@ def test_a_recorded_tick_is_not_replayed_for_another(what, first):
     warm = cold(b)
     for i in (first, 1 - first):
         assert step(warm, configs[i]) == expected[i]
+
+
+def test_enabled_events_reads_the_table_but_never_records(monkeypatch):
+    b = line_bundle()
+    prog = model.compile(b)
+    expected = enabled_events(cold(b), init(b))
+    assert expected == [("arrive", "t1")]
+    assert enabled_events(b, init(b)) == expected
+    assert prog.ticks == {}
+    step(b, init(b))
+    assert len(prog.ticks) == 1
+
+    def no_opening(*_args):
+        raise AssertionError("a recorded tick was opened")
+
+    monkeypatch.setattr(engine, "_open_tick", no_opening)
+    assert enabled_events(b, init(b)) == expected
+    renamed = dataclasses.replace(b, schedule=(Injection(1, "env", "x"),))
+    assert enabled_events(renamed, init(renamed)) == [("arrive", "x")]
+
+
+def _vandalise(cfg):
+    """Change every table of `cfg` and every token in it."""
+    for sid in cfg.counters:
+        cfg.counters[sid] += 1
+    for sid in cfg.flags:
+        cfg.flags[sid] = not cfg.flags[sid]
+    for sid in cfg.timers:
+        cfg.timers[sid] = engine.TimerState(99, 98)
+    cfg.pending.clear()
+    cfg.pending["ghost", None] = None
+    for tok in cfg.tokens.values():
+        tok.thimac, tok.stage = "ghost", ActionKind.PROCESS
+    cfg.tokens["ghost"] = Token("ghost", "ghost", ActionKind.RECEIVE, 0, 0)
+
+
+@pytest.mark.parametrize("fixture", ["assembly_line.tm", "door.tm",
+                                     "phone_line.tm"])
+def test_a_replayed_tick_ignores_changes_to_a_stepped_configuration(fixture):
+    b = parse_file(FIXTURES / fixture).bundle
+    expected = run(cold(b), max_ticks=20)
+    cfg = init(b)
+    while cfg.tick < 20 and not quiescent(b, cfg):
+        after, _entry = step(b, cfg)
+        cfg = copy.deepcopy(after)
+        _vandalise(after)
+    assert model.compile(b).ticks
+    assert run(b, max_ticks=20) == expected
 
 
 @pytest.mark.parametrize("schedule, tick", [
