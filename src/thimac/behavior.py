@@ -38,6 +38,11 @@ MACHINE_IDLE = "idle"
 MACHINE_BUSY = "busy"
 MACHINE_BLOCKED = "blocked"
 
+# enum members read once: reading one off its class in a loop costs
+# about as much as the rest of a projection
+_COUNTER, _FLAG, _TIMER = ThimacKind.COUNTER, ThimacKind.FLAG, ThimacKind.TIMER
+_PROCESS = ActionKind.PROCESS
+
 
 @dataclass(frozen=True)
 class BehaviorGraph:
@@ -138,6 +143,13 @@ def _product(domains):
     yield from itertools.product(*domains)
 
 
+def _busy(config: Configuration) -> set:
+    """The thimacs where a token sits at the process action (a token
+    that rests in a thimac is alive)."""
+    return {tok.thimac for tok in config.tokens.values()
+            if tok.stage is _PROCESS}
+
+
 def machine_status(bundle: ModelBundle, config: Configuration,
                    thimac: str) -> str:
     """Blocked when the machine's block flag is raised, busy when a
@@ -146,35 +158,38 @@ def machine_status(bundle: ModelBundle, config: Configuration,
     rejects an `M.block` of another kind); without one, never blocked."""
     if config.flags.get(f"{thimac}.block"):
         return MACHINE_BLOCKED
-    # a token that rests in the machine is alive; the thimac test comes
-    # first since it is cheaper than reading the enum member
-    for tok in config.tokens.values():
-        if tok.thimac == thimac and tok.stage is ActionKind.PROCESS:
-            return MACHINE_BUSY
-    return MACHINE_IDLE
+    return MACHINE_BUSY if thimac in _busy(config) else MACHINE_IDLE
 
 
 def project_config(bundle: ModelBundle, projection, config: Configuration):
     """Project a configuration onto named components, in declaration
     order: counters give their value, flags their truth, token-bearing
-    thimacs their status.  Unknown ids and timers raise TmError."""
-    tmap = bundle.model._by_id
+    thimacs their status (`machine_status`, from one scan of the
+    tokens).  Unknown ids and timers raise TmError."""
+    model = bundle.model
+    tmap = model._by_id
     out = []
+    busy = None
     for tid in projection:
         t = tmap.get(tid)
         if t is None:
             raise TmError(E_UNRESOLVED_REF,
                           f"projection names unknown thimac {tid!r}")
-        if t.kind == ThimacKind.COUNTER:
+        kind = t.kind
+        if kind is _COUNTER:
             out.append(config.counters[tid])
-        elif t.kind == ThimacKind.FLAG:
+        elif kind is _FLAG:
             out.append(config.flags[tid])
-        elif t.kind == ThimacKind.TIMER:
+        elif kind is _TIMER:
             raise TmError(E_UNRESOLVED_REF,
                           f"projection names timer {tid!r}, which has no "
                           f"projected value")
+        elif config.flags.get(model._block_ids[tid]):
+            out.append(MACHINE_BLOCKED)
         else:
-            out.append(machine_status(bundle, config, tid))
+            if busy is None:
+                busy = _busy(config)
+            out.append(MACHINE_BUSY if tid in busy else MACHINE_IDLE)
     return tuple(out)
 
 

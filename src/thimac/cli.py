@@ -160,53 +160,52 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tm", description="Thing-machine modeling tools.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a model file")
-    p.add_argument("model")
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, **kwargs):
+        # each command keeps its own parser, so a usage error names it
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("run", help="execute a model and print its trace")
+    p = command("validate", cmd_validate, help="check a model file")
+    p.add_argument("model")
+
+    p = command("run", cmd_run, help="execute a model and print its trace")
     p.add_argument("model")
     p.add_argument("--ticks", type=int, default=None, metavar="N",
                    help="stop after N ticks (default: run to quiescence)")
     p.add_argument("--displayed", action="store_true",
                    help="hide bookkeeping instances")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("enumerate",
-                       help="count a declared component state space")
+    p = command("enumerate", cmd_enumerate,
+                help="count a declared component state space")
     p.add_argument("components", nargs="+", metavar="NAME=DOMAIN",
                    help="e.g. B1=0..3 or M1=idle,busy,blocked")
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("coverage",
-                       help="report actions no event region touches")
+    p = command("coverage", cmd_coverage,
+                help="report actions no event region touches")
     p.add_argument("model")
-    p.set_defaults(func=cmd_coverage)
 
-    p = sub.add_parser("import-fsm",
-                       help="translate a state machine file to a model")
+    p = command("import-fsm", cmd_import_fsm,
+                help="translate a state machine file to a model")
     p.add_argument("machine")
     p.add_argument("--out", default=None, metavar="PATH")
-    p.set_defaults(func=cmd_import_fsm)
 
-    p = sub.add_parser("project",
-                       help="judge a state-to-region mapping")
+    p = command("project", cmd_project,
+                help="judge a state-to-region mapping")
     p.add_argument("machine")
     p.add_argument("model")
     p.add_argument("--mapping", required=True, metavar="PATH")
-    p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("conform",
-                       help="check a saved trace against the chronology")
+    p = command("conform", cmd_conform,
+                help="check a saved trace against the chronology")
     p.add_argument("model")
     p.add_argument("trace")
-    p.set_defaults(func=cmd_conform)
 
-    p = sub.add_parser("export-dot", help="render the model for graphviz")
+    p = command("export-dot", cmd_export_dot,
+                help="render the model for graphviz")
     p.add_argument("model")
     p.add_argument("--layer", choices=LAYERS, default="static")
     p.add_argument("--out", default=None, metavar="PATH")
-    p.set_defaults(func=cmd_export_dot)
 
     return parser
 
@@ -214,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.parser = parser
     try:
         return args.func(args)
     except _Rejected:

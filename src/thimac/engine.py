@@ -56,13 +56,28 @@ token can only lapse, so all such share one mark), the store values
 and the bundle's initial overrides, which a counter reset reads.  A
 rank may stand for a label because a label only tells tokens apart.
 An entry, recorded only by `step`, is one whole fired tick by rank:
-the opening's bindings, where each ranked token rests after it, the
-store values, the next pending instances and the firings.
+the opening's bindings, where each ranked token rests after it, store
+tables ready to copy, the next pending instances and the firings, one
+shared `FiredEvent` for each firing without a subject.
 `enabled_events` reads an entry's bindings or opens the tick without
 recording it, and a hit in `step` builds the next configuration as a
 fired tick does.  A tick with nothing pending skips the table, since
 it costs less to fire than to replay; a tick that raises is never
 recorded, and the table stops recording at `TICK_TABLE_PLACES`.
+
+Each tick is keyed once.  The program keeps a one-slot record of the
+configuration it handled last.  `enabled_events` leaves its look-up
+there, and on a miss its opening, and a `step` on that same
+configuration takes them instead of looking up and opening again.
+`step` leaves the key and labels of the recorded tick (a hit, or a miss
+it has just recorded) it built the configuration from; the next
+look-up on that configuration reads its key from the program's links,
+by the key before and the arrival thimacs, together with the ranks of
+the tokens still live, and so skips the token scan, the pending sort
+and the key build.  The first full look-up after such a tick fills its
+link.  The slot answers only for the same configuration object with
+the same arrivals and initial overrides, so a configuration's tables
+must not change once `init` or `step` returns it.
 
 A run ends at quiescence: nothing pending, no injections left, and no
 timer still counting.
@@ -96,7 +111,8 @@ from .model import (
 )
 
 # A program's tick table stops recording once it holds this many places
-# in all: one per recorded tick and one per live or arriving token of it.
+# in all: one per recorded tick and one per live or arriving token of
+# it, and one per link.
 TICK_TABLE_PLACES = 5000
 
 
@@ -455,24 +471,61 @@ def _labelled(ranked: tuple, labels: list) -> list:
             for eid, rank in zip(flat, flat)]
 
 
+# A program's slot `last` is (configuration, arrivals, initial items,
+# key, labels, look-up, opening): either the key and labels of the
+# recorded tick `step` built the configuration from, or the look-up and
+# opening `enabled_events` left for `step`, the other pair being None.
+
+
 def _look_up(bundle: ModelBundle, config: Configuration):
     """Inject the arrivals of the tick after `config`, key the tick with
     every token label replaced by its rank, and look it up in the
-    program's tick table.  Returns the program, the key, the labels by
-    rank (the live tokens in injection order, then the arrivals), the
-    injected tokens, the pending instances in the order the opening
-    resolves them (by priority, then subject: none first, then the
-    older token, then a subject with no token) and the table's entry,
-    None when unrecorded.  A tick with nothing pending gets no key."""
+    program's tick table.  Returns the key, the labels by rank (the live
+    tokens in injection order, then the arrivals), the injected tokens,
+    the pending instances in the order the opening resolves them (by
+    priority, then subject: none first, then the older token, then a
+    subject with no token; None on a hit, which is not opened) and the
+    table's entry, None when unrecorded.  A tick with nothing pending
+    gets no key.
+
+    The program's slot `last` answers for the configuration it last
+    saw, while the same arrivals and initial overrides come with it:
+    `enabled_events` leaves its look-up there for `step`, and `step`
+    leaves the key and labels of the recorded tick it built the
+    configuration from.  The key after such a tick is read from the
+    program's links, filled by the first full look-up that follows it."""
     prog = compile(bundle)
-    new = _inject(prog, bundle.arrivals.get(config.tick + 1, ()), config)
+    arrivals = bundle.arrivals
+    initial = tuple(bundle.initial.items())
+    last = prog.last
+    if last is not None and (last[0] is not config or last[1] is not arrivals
+                             or last[2] != initial):
+        last = None
+    if last is not None and last[5] is not None:
+        return last[5]
+    injections = arrivals.get(config.tick + 1)
+    new = _inject(prog, injections, config) if injections else {}
+    link_key = None
+    if last is not None:
+        # the key before holds the initial overrides the slot checked
+        link_key = (last[3], tuple([tok.thimac for tok in new.values()])
+                    if new else ())
+        link = prog.links.get(link_key)
+        if link is not None:
+            key, ranks = link
+            entry = prog.ticks.get(key)
+            if entry is not None:
+                labels = [last[4][rank] for rank in ranks]
+                labels += new
+                return key, labels, new, None, entry
+            link_key = None
     order = config.pending
     if new:
         order = dict.fromkeys(chain(order, [
             (eid, None) for tok in new.values()
             for eid in prog.injection_events.get(tok.thimac, ())]))
     if not order:
-        return prog, None, None, new, order, None
+        return None, None, new, order, None
     tokens = config.tokens
     if len(order) > 1:
         order = sorted(order, key=lambda entry: (
@@ -489,71 +542,90 @@ def _look_up(bundle: ModelBundle, config: Configuration):
     # after the places and pending ranks, each store table and the
     # initial overrides as its size, its ids and its values
     counters, flags, timers = config.counters, config.flags, config.timers
-    initial = bundle.initial
     key = (tuple(places), _ranked(order, labels),
            len(counters), *counters, *counters.values(),
            len(flags), *flags, *flags.values(),
            len(timers), *timers, *timers.values(),
-           len(initial), *initial, *initial.values())
-    return prog, key, labels, new, order, prog.ticks.get(key)
+           len(initial), *initial)
+    if link_key is not None and prog.tick_places < TICK_TABLE_PLACES:
+        # the live tokens by their rank in the tick before
+        rank = {label: i for i, label in enumerate(last[4])}
+        prog.links[link_key] = (key, tuple([
+            rank[label] for label in labels[:len(labels) - len(new)]]))
+        prog.tick_places += 1
+    entry = prog.ticks.get(key)
+    return key, labels, new, order if entry is None else None, entry
 
 
 def _record(prog: Program, key, labels: list, opening, cfg: Configuration,
-            fired):
+            fired) -> bool:
     """Record under `key` the tick that opened as `opening` and fired
     into `cfg`, by rank: the opening's bindings, (thimac, stage) of each
-    ranked token after the tick, the store values, the pending
-    instances and the firings.  Nothing is recorded for a tick without
-    a key, past the table's bound, nor for a tick whose bindings or
-    outcome name a label without a rank."""
+    ranked token after the tick, copies of the store tables, the
+    pending instances and the firings, each kept with its subject's
+    rank (a firing without a subject is shared as it is).  Nothing is
+    recorded for a tick without a key, past the table's bound, nor for
+    a tick whose bindings or outcome name a label without a rank;
+    returns whether the tick was recorded."""
     if key is None or prog.tick_places + 1 + len(labels) > TICK_TABLE_PLACES:
-        return
+        return False
     enabled = _ranked([(eid, b.subject) for eid, _subj, b in opening
                        if b is not None], labels)
     pending = _ranked(cfg.pending, labels)
-    fired = _ranked([(f.event, f.subject) for f in fired], labels)
-    if -1 in enabled or -1 in pending or -1 in fired:
-        return
+    ranks = _ranked([(f.event, f.subject) for f in fired], labels)
+    if -1 in enabled or -1 in pending or -1 in ranks:
+        return False
     places = []
     for label in labels:
         tok = cfg.tokens[label]
         places += (tok.thimac, tok.stage)
     prog.tick_places += 1 + len(labels)
-    prog.ticks[key] = (enabled, tuple(places), tuple(cfg.counters.values()),
-                       tuple(cfg.flags.values()), tuple(cfg.timers.values()),
-                       pending, fired)
+    prog.ticks[key] = (enabled, tuple(places), dict(cfg.counters),
+                       dict(cfg.flags), dict(cfg.timers), pending,
+                       tuple(zip(fired, ranks[1::2])))
+    return True
 
 
-def _replay(prog: Program, config: Configuration, labels: list, new, entry):
+def _replay(config: Configuration, labels: list, new, entry):
     """The next configuration and trace entry of the tick after
     `config`, with its injected tokens `new`, recorded as `entry`, with
     ranks read back as `labels`."""
     _enabled, places, counters, flags, timers, pending, fired = entry
-    cfg = _next(config, new, dict(zip(config.counters, counters)),
-                dict(zip(config.flags, flags)),
-                dict(zip(config.timers, timers)))
+    cfg = _next(config, new, counters.copy(), flags.copy(), timers.copy())
     tokens = cfg.tokens
     places = iter(places)
     for label, thimac, stage in zip(labels, places, places):
         tok = tokens[label]
         tok.thimac = thimac
         tok.stage = stage
-    cfg.pending.update(dict.fromkeys(_labelled(pending, labels)))
+    pend = cfg.pending
+    pending = iter(pending)
+    for eid, rank in zip(pending, pending):
+        pend[eid, rank if rank is None else labels[rank]] = None
     return cfg, TraceEntry(cfg.tick, tuple([
-        FiredEvent(eid, subj, prog.info[eid].event.bookkeeping)
-        for eid, subj in _labelled(fired, labels)]))
+        f if rank is None else FiredEvent(f.event, labels[rank], f.bookkeeping)
+        for f, rank in fired]))
 
 
 def step(bundle: ModelBundle, config: Configuration):
     """Execute one tick; returns (new configuration, trace entry).  A
     tick the program's tick table has recorded is replayed; any other
-    is opened, fired and recorded."""
-    prog, key, labels, new, order, entry = _look_up(bundle, config)
+    is opened (unless `enabled_events` just did), fired and recorded."""
+    look = _look_up(bundle, config)
+    key, labels, new, order, entry = look
+    prog = compile(bundle)
+    # taken out before firing, so a tick that raises leaves no slot
+    last, prog.last = prog.last, None
     if entry is not None:
-        return _replay(prog, config, labels, new, entry)
-    opening = _open_tick(prog, config, new, order)
-    cfg, trace_entry = _fire(prog, bundle, config, new, opening)
-    _record(prog, key, labels, opening, cfg, trace_entry.fired)
+        cfg, trace_entry = _replay(config, labels, new, entry)
+    else:
+        opening = (last[6] if last is not None and last[5] is look
+                   else _open_tick(prog, config, new, order))
+        cfg, trace_entry = _fire(prog, bundle, config, new, opening)
+        if not _record(prog, key, labels, opening, cfg, trace_entry.fired):
+            return cfg, trace_entry
+    prog.last = (cfg, bundle.arrivals, tuple(bundle.initial.items()), key,
+                 labels, None, None)
     return cfg, trace_entry
 
 
@@ -585,12 +657,23 @@ def enabled_events(bundle: ModelBundle, config: Configuration):
     """Instances that could fire in the upcoming tick, in priority
     order, with the subjects they would bind.  Includes the injections
     scheduled for that tick; ignores conflicts.  A recorded tick is read
-    from the tick table; any other is opened, not recorded."""
-    prog, _key, labels, new, order, entry = _look_up(bundle, config)
+    from the tick table; any other is opened, not recorded.  The
+    look-up, and the opening of an unrecorded tick, are left for a
+    `step` on the same configuration."""
+    look = _look_up(bundle, config)
+    _key, labels, new, order, entry = look
+    prog = compile(bundle)
+    last = prog.last
+    if last is not None and last[5] is look:
+        opening = last[6]
+    else:
+        opening = (None if entry is not None
+                   else _open_tick(prog, config, new, order))
+        prog.last = (config, bundle.arrivals, tuple(bundle.initial.items()),
+                     None, None, look, opening)
     if entry is not None:
         return _labelled(entry[0], labels)
-    return [(eid, b.subject) for eid, _subj, b
-            in _open_tick(prog, config, new, order) if b is not None]
+    return [(eid, b.subject) for eid, _subj, b in opening if b is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +708,12 @@ def format_trace_records(trace) -> str:
     """Machine form: one tab-separated record per fired instance with
     tick, event, quoted subject (`-` when none), bookkeeping 0/1."""
     lines = []
+    quoted = {None: "-"}    # each subject is quoted once
     for entry in trace:
         for f in entry.fired:
-            subject = _escape(f.subject) if f.subject is not None else "-"
+            subject = quoted.get(f.subject)
+            if subject is None:
+                subject = quoted[f.subject] = _escape(f.subject)
             lines.append(f"{entry.tick}\t{f.event}\t{subject}\t"
                          f"{1 if f.bookkeeping else 0}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -103,6 +103,9 @@ def test_run_negative_ticks_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--ticks must be at least 0, not -1" in captured.err
+    assert captured.err.startswith(
+        "usage: tm run [-h] [--ticks N] [--displayed] model\n")
+    assert "tm run: error: " in captured.err
 
 
 def test_run_invalid_model(tmp_path, capsys):
@@ -213,6 +216,9 @@ def test_enumerate_empty_range_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "B1=3..1"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tm enumerate [-h] NAME=DOMAIN")
+    assert "tm enumerate: error: empty range in 'B1=3..1'" in err
 
 
 # --- coverage --------------------------------------------------------------------

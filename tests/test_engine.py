@@ -950,6 +950,19 @@ def test_bundles_sharing_a_program_reset_to_their_own_initial(first):
         assert run(bundles[i]) == expected[i]
 
 
+def test_a_handed_off_look_up_follows_the_initial_overrides():
+    # the program is warm for c reset to 1; tick 2 then opens equally
+    # under either override
+    ones, twos = reset_bundles()
+    run(ones)
+    b = dataclasses.replace(ones, initial=dict(ones.initial))
+    cfg = step(b, init(b))[0]
+    expected = step(cold(twos), cfg)
+    enabled_events(b, cfg)
+    b.initial["c"] = 2
+    assert step(b, cfg) == expected
+
+
 def _in_m(*tokens, pending=("t1",)):
     """Tick 1 of `line_bundle` done, with (label, stage) tokens in M in
     injection order and work pended for the `pending` labels."""
@@ -1131,3 +1144,42 @@ def test_the_tick_table_stops_recording_at_its_bound(what):
         assert 0 < len(prog.ticks) < expected[0].tick
         assert prog.tick_places <= engine.TICK_TABLE_PLACES
         assert prog.tick_places > engine.TICK_TABLE_PLACES - 140
+
+
+def counted_places(prog):
+    """The places the program's tables hold: one per link, and one per
+    recorded tick plus one per ranked token of it."""
+    return len(prog.links) + sum(1 + len(entry[1]) // 2
+                                 for entry in prog.ticks.values())
+
+
+@pytest.mark.parametrize("what", sorted(UNBOUNDED))
+def test_every_link_and_entry_counts_once(what):
+    b, ticks = UNBOUNDED[what]()
+    prog = model.compile(b)
+    for peek in (False, True, True):
+        cfg = init(b)
+        while not quiescent(b, cfg) and cfg.tick < 300:
+            if peek:
+                # an unrecorded tick is looked up again by step
+                enabled_events(b, cfg)
+                enabled_events(b, cfg)
+            cfg = step(b, cfg)[0]
+        assert prog.tick_places == counted_places(prog)
+    assert prog.links
+
+
+def test_a_handed_off_look_up_serves_one_step(monkeypatch):
+    # nothing is recorded, so each step fires what enabled_events opened
+    monkeypatch.setattr(engine, "TICK_TABLE_PLACES", -1)
+    b = assembly()
+    cfg = init(b)
+    while not quiescent(b, cfg):
+        enabled_events(b, cfg)
+        first = step(b, cfg)[0]
+        second = step(b, cfg)[0]
+        assert first == second
+        # the second step injects tokens of its own
+        assert not ({id(tok) for tok in first.tokens.values()}
+                    & {id(tok) for tok in second.tokens.values()})
+        cfg = first

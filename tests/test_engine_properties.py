@@ -15,9 +15,19 @@ import json
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from thimac import E_COUNTER_RANGE, Injection, ThimacKind, TmError, engine
+from thimac import (
+    E_COUNTER_RANGE,
+    E_UNRESOLVED_REF,
+    Injection,
+    ThimacKind,
+    TmError,
+    engine,
+    model,
+)
+from thimac.behavior import machine_status, project_config
 from thimac.dsl import parse_file
 from thimac.engine import enabled_events, format_trace_records, init, quiescent, step
 
@@ -260,3 +270,125 @@ def test_a_warm_tick_table_gives_the_cold_run(monkeypatch):
         others = [drawn_schedule(rng, b) for _ in range(3)]
         for warm in (b, b, renamed, flipped, *others):
             assert steps(warm) == cold(warm)
+
+
+# --- the chained key, the handoff and the projection --------------------------------
+
+def fenced_inputs():
+    """The drawn runs whose digests are pinned, then the fixtures."""
+    return [drawn_run(seed) for seed in range(300)] + [
+        parse_file(FIXTURES / name).bundle
+        for name in ("assembly_line.tm", "door.tm", "phone_line.tm")]
+
+
+def test_a_chained_look_up_equals_a_full_one(monkeypatch):
+    # a full look-up ranks the pending instances; one that follows a
+    # recorded tick reads its key from the program's links instead
+    ranked = []
+    real_ranked = engine._ranked
+    monkeypatch.setattr(engine, "_ranked",
+                        lambda *args: ranked.append(1) or real_ranked(*args))
+    chained = 0
+    for b in fenced_inputs():
+        # the first run records the ticks and links the second follows
+        for _ in range(2):
+            cfg = init(b)
+            while not quiescent(b, cfg) and cfg.tick < MAX_TICKS:
+                try:
+                    cfg = step(b, cfg)[0]
+                except TmError:
+                    break
+                del ranked[:]
+                look = engine._look_up(b, cfg)
+                chained += look[0] is not None and not ranked
+                assert look == engine._look_up(b, copy.copy(cfg))
+    assert chained > 500
+
+
+def stepped(b, peek):
+    """(configuration, next configuration, trace entry) per tick of a run
+    of `b`, calling `enabled_events` first on the ticks `peek` picks."""
+    ticks = []
+    cfg = init(b)
+    while not quiescent(b, cfg) and cfg.tick < MAX_TICKS:
+        if peek(cfg.tick):
+            enabled_events(b, cfg)
+        try:
+            nxt, entry = step(b, cfg)
+        except TmError:
+            break
+        ticks.append((cfg, nxt, entry))
+        cfg = nxt
+    return ticks
+
+
+def test_stepping_a_copy_gives_the_same_tick():
+    for b in fenced_inputs():
+        for peek in (lambda tick: tick % 2, lambda tick: True):
+            for pre, nxt, entry in stepped(b, peek):
+                assert step(b, copy.deepcopy(pre)) == (nxt, entry)
+                again = copy.deepcopy(pre)
+                enabled_events(b, again)
+                assert step(b, again) == (nxt, entry)
+
+
+def test_a_look_up_is_handed_only_to_its_own_configuration(monkeypatch):
+    def cold_step(b, cfg):
+        # a fresh copy of the model, whose table records nothing
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "TICK_TABLE_PLACES", -1)
+            return step(dataclasses.replace(
+                b, model=dataclasses.replace(b.model)), copy.deepcopy(cfg))
+
+    rng = random.Random(1)
+    for b in fenced_inputs()[::10]:
+        # bundles sharing the program: the same schedule as another
+        # object, and another schedule
+        twins = (dataclasses.replace(b), drawn_schedule(rng, b))
+        assert model.compile(twins[1]) is model.compile(b)
+        for pre, _nxt, _entry in stepped(b, lambda tick: True):
+            for stepper, cfg in ((b, copy.copy(pre)), (twins[0], pre),
+                                 (twins[1], pre)):
+                enabled_events(b, pre)
+                try:
+                    expected = cold_step(stepper, cfg)
+                except TmError as err:
+                    with pytest.raises(TmError) as again:
+                        step(stepper, cfg)
+                    assert again.value.code == err.code
+                    continue
+                assert step(stepper, cfg) == expected
+
+
+def test_a_projection_is_every_component_on_its_own():
+    for name in ("assembly_line.tm", "door.tm", "phone_line.tm"):
+        b = parse_file(FIXTURES / name).bundle
+        kinds = {t.id: t.kind for t in b.model.thimacs}
+        ids = [tid for tid, kind in kinds.items()
+               if kind is not ThimacKind.TIMER]
+        configs = [init(b)] + [nxt for _pre, nxt, _entry
+                               in stepped(b, lambda tick: False)]
+        # the same configurations with every block flag raised
+        blocks = {f"{tid}.block": True for tid in ids
+                  if f"{tid}.block" in kinds}
+        blocked = [dataclasses.replace(cfg, flags={**cfg.flags, **blocks})
+                   for cfg in configs]
+        statuses = set()
+        for cfg in configs + blocked:
+            want = tuple(cfg.counters[tid] if kinds[tid] is ThimacKind.COUNTER
+                         else cfg.flags[tid] if kinds[tid] is ThimacKind.FLAG
+                         else machine_status(b, cfg, tid) for tid in ids)
+            for projection in (tuple(ids), ids, dict.fromkeys(ids)):
+                assert project_config(b, projection, cfg) == want
+            statuses.update(want)
+        assert {"idle", "busy"} <= statuses
+        if blocks:
+            assert "blocked" in statuses
+        timers = [tid for tid, kind in kinds.items()
+                  if kind is ThimacKind.TIMER]
+        # the first bad id in projection order is the one reported
+        for bad in (["nope", *timers], [*timers, "nope"]):
+            with pytest.raises(TmError) as err:
+                project_config(b, ids + bad, configs[-1])
+            assert err.value.code == E_UNRESOLVED_REF
+            assert repr(bad[0]) in err.value.message

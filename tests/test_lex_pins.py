@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from thimac import compile, run
+from thimac import compile, enabled_events, init, run, step
 from thimac.dsl import _lex, parse, read_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -122,11 +122,49 @@ def _parse_compile_and_run():
     return weakref.ref(bundle.model)
 
 
+def _stepped(bundle, peek):
+    """The configuration after 12 ticks of `bundle`, each stepped after
+    an `enabled_events` call when `peek`, on a program whose table a
+    first run filled."""
+    run(bundle, max_ticks=40)
+    cfg = init(bundle)
+    while cfg.tick < 12:
+        if peek:
+            enabled_events(bundle, cfg)
+        cfg = step(bundle, cfg)[0]
+    return cfg
+
+
+# the last calls a run of a model ends with, each leaving its own
+# per-program state behind
+LAST_CALLS = {
+    "enabled_events": lambda b: enabled_events(b, _stepped(b, False)),
+    "enabled_events and step": lambda b: _stepped(b, True),
+}
+
+
 def test_a_run_model_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
         model = _parse_compile_and_run()
         assert model() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("calls", sorted(LAST_CALLS))
+def test_per_program_state_never_keeps_a_model_alive(calls):
+    def parse_and_call():
+        bundle = parse(read_text(FIXTURES / "assembly_line.tm")).bundle
+        assert LAST_CALLS[calls](bundle)
+        return weakref.ref(bundle.model), weakref.ref(compile(bundle))
+
+    gc.collect()
+    gc.disable()
+    try:
+        model, program = parse_and_call()
+        assert model() is None
+        assert program() is None
     finally:
         gc.enable()
