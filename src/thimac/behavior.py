@@ -30,6 +30,7 @@ from .model import (
     ModelBundle,
     ThimacKind,
     TmError,
+    block_flag_id,
     successor_table,
 )
 from .engine import Configuration, init, quiescent, step
@@ -156,7 +157,7 @@ def machine_status(bundle: ModelBundle, config: Configuration,
     token sits at its process action, idle otherwise.  By convention
     the block flag of thimac `M` is the flag `M.block` (`validate_model`
     rejects an `M.block` of another kind); without one, never blocked."""
-    if config.flags.get(f"{thimac}.block"):
+    if config.flags.get(block_flag_id(thimac)):
         return MACHINE_BLOCKED
     return MACHINE_BUSY if thimac in _busy(config) else MACHINE_IDLE
 
@@ -166,8 +167,7 @@ def project_config(bundle: ModelBundle, projection, config: Configuration):
     order: counters give their value, flags their truth, token-bearing
     thimacs their status (`machine_status`, from one scan of the
     tokens).  Unknown ids and timers raise TmError."""
-    model = bundle.model
-    tmap = model._by_id
+    tmap = bundle.model._by_id
     out = []
     busy = None
     for tid in projection:
@@ -184,7 +184,7 @@ def project_config(bundle: ModelBundle, projection, config: Configuration):
             raise TmError(E_UNRESOLVED_REF,
                           f"projection names timer {tid!r}, which has no "
                           f"projected value")
-        elif config.flags.get(model._block_ids[tid]):
+        elif config.flags.get(block_flag_id(tid)):
             out.append(MACHINE_BLOCKED)
         else:
             if busy is None:

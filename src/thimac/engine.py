@@ -61,23 +61,24 @@ tables ready to copy, the next pending instances and the firings, one
 shared `FiredEvent` for each firing without a subject.
 `enabled_events` reads an entry's bindings or opens the tick without
 recording it, and a hit in `step` builds the next configuration as a
-fired tick does.  A tick with nothing pending skips the table, since
-it costs less to fire than to replay; a tick that raises is never
-recorded, and the table stops recording at `TICK_TABLE_PLACES`.
+fired tick does.  Every tick is keyed and recorded, one with nothing
+pending too, except one that raises, one past `TICK_TABLE_PLACES` and
+one whose outcome names a label without a rank.
 
 Each tick is keyed once.  The program keeps a one-slot record of the
 configuration it handled last.  `enabled_events` leaves its look-up
-there, and on a miss its opening, and a `step` on that same
-configuration takes them instead of looking up and opening again.
-`step` leaves the key and labels of the recorded tick (a hit, or a miss
-it has just recorded) it built the configuration from; the next
-look-up on that configuration reads its key from the program's links,
-by the key before and the arrival thimacs, together with the ranks of
-the tokens still live, and so skips the token scan, the pending sort
-and the key build.  The first full look-up after such a tick fills its
-link.  The slot answers only for the same configuration object with
-the same arrivals and initial overrides, so a configuration's tables
-must not change once `init` or `step` returns it.
+there, and a `step` on that same configuration takes it instead of
+looking up again; `step` opens an unrecorded tick itself.  `step`
+leaves the key and labels of the recorded tick (a hit, or a miss it
+has just recorded) it built the configuration from; the next look-up
+on that configuration reads its key from the program's links, by the
+key before and the arrival thimacs, together with the ranks of the
+tokens still live, and so skips the token scan, the pending sort and
+the key build.  The first full look-up after such a tick fills its
+link, so a run replays all of an earlier equal run after one full
+look-up.  The slot answers only for the same configuration object
+with the same arrivals and initial overrides, so a configuration's
+tables must not change once `init` or `step` returns it.
 
 A run ends at quiescence: nothing pending, no injections left, and no
 timer still counting.
@@ -114,6 +115,14 @@ from .model import (
 # in all: one per recorded tick and one per live or arriving token of
 # it, and one per link.
 TICK_TABLE_PLACES = 5000
+
+# enum members read once: reading one off its class costs about three
+# times an instance attribute, on every guard check and effect
+_COUNTER, _FLAG, _SOURCE = ThimacKind.COUNTER, ThimacKind.FLAG, ThimacKind.SOURCE
+_INC, _DEC, _SET, _CLEAR, _RESET = (Effect.INC, Effect.DEC, Effect.SET,
+                                    Effect.CLEAR, Effect.RESET)
+_SUBJECTLESS, _FLOW = SubjectMode.SUBJECTLESS, SubjectMode.FLOW
+_PROCESS = ActionKind.PROCESS
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,10 +196,10 @@ class TraceEntry:
 def _holds(checks, stores: Configuration) -> bool:
     """Whether every typed check of a firing plan holds in `stores`."""
     for kind, store, test, literal in checks:
-        if kind is ThimacKind.COUNTER:
+        if kind is _COUNTER:
             if not test(stores.counters[store], literal):
                 return False
-        elif kind is ThimacKind.FLAG:
+        elif kind is _FLAG:
             if stores.flags[store] == test:
                 return False
         elif not stores.timers[store].expired:
@@ -247,10 +256,10 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
     if not _holds(info.gates, stores):
         return None
 
-    if info.mode is SubjectMode.SUBJECTLESS:
+    if info.mode is _SUBJECTLESS:
         return _Binding(info, subj, (), info.writes)
 
-    if info.mode is SubjectMode.FLOW:
+    if info.mode is _FLOW:
         # the carried subject takes the primary path only
         moves = []
         bound = set()
@@ -274,10 +283,10 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
     stage = here[chosen][0]
     if STAGE_DEPTH[stage] > STAGE_DEPTH[target]:
         return None
-    enters = stage is not target and target is ActionKind.PROCESS
+    enters = stage is not target and target is _PROCESS
     if enters:
         for label, (s, _) in here.items():
-            if s is ActionKind.PROCESS and label != chosen:
+            if s is _PROCESS and label != chosen:
                 return None
     writes = info.writes | {("token", chosen)}
     if enters:
@@ -295,15 +304,15 @@ def _apply_triggers(prog: Program, info: EventInfo, cfg: Configuration,
     for checks, target, effect, kind in info.steps:
         if not _holds(checks, cfg):
             continue
-        if effect is Effect.INC:
+        if effect is _INC:
             cfg.counters[target] += 1
-        elif effect is Effect.DEC:
+        elif effect is _DEC:
             cfg.counters[target] -= 1
-        elif effect is Effect.SET:
+        elif effect is _SET:
             cfg.flags[target] = True
-        elif effect is Effect.CLEAR:
+        elif effect is _CLEAR:
             cfg.flags[target] = False
-        elif effect is Effect.RESET and kind is ThimacKind.COUNTER:
+        elif effect is _RESET and kind is _COUNTER:
             decl = prog.thimacs[target]
             cfg.counters[target] = int(initial.get(target, decl.init))
         else:
@@ -323,7 +332,7 @@ def init(bundle: ModelBundle) -> Configuration:
     Raises TmError when a starting value is unusable."""
     values = {t.id: t.start for t in bundle.model.thimacs if t.is_store}
     values.update(bundle.initial)
-    tmap = bundle.model.thimac_map()
+    tmap = bundle.model._by_id
     stores = {kind: {} for kind in STORE_KINDS}
     for tid, value in values.items():
         problem = initial_problem(tmap.get(tid), tid, value)
@@ -359,8 +368,6 @@ def _open_tick(prog: Program, config: Configuration, new, order):
     (injection moves no store) and the placements after the injected
     tokens `new`.  Returns (event, pended subject, binding or None) per
     instance."""
-    if not order:
-        return []
     places = _placements(chain(config.tokens.values(), new.values()))
     return [(eid, subj, _resolve(prog, eid, subj, config, places))
             for eid, subj in order]
@@ -423,7 +430,7 @@ def _fire(prog: Program, bundle: ModelBundle, config: Configuration, new,
     # tokens injected this tick that never left their source drain away
     for tok in new.values():
         if (tok.thimac is not None
-                and prog.thimacs[tok.thimac].kind is ThimacKind.SOURCE):
+                and prog.thimacs[tok.thimac].kind is _SOURCE):
             tok.thimac = None
             tok.stage = None
 
@@ -472,9 +479,9 @@ def _labelled(ranked: tuple, labels: list) -> list:
 
 
 # A program's slot `last` is (configuration, arrivals, initial items,
-# key, labels, look-up, opening): either the key and labels of the
-# recorded tick `step` built the configuration from, or the look-up and
-# opening `enabled_events` left for `step`, the other pair being None.
+# key, labels, look-up): either the key and labels of the recorded tick
+# `step` built the configuration from, or the look-up `enabled_events`
+# left for `step`, the other field or pair being None.
 
 
 def _look_up(bundle: ModelBundle, config: Configuration):
@@ -485,12 +492,12 @@ def _look_up(bundle: ModelBundle, config: Configuration):
     the pending instances in the order the opening resolves them (by
     priority, then subject: none first, then the older token, then a
     subject with no token; None on a hit, which is not opened) and the
-    table's entry, None when unrecorded.  A tick with nothing pending
-    gets no key.
+    table's entry, None when unrecorded.  Every tick gets a key, one
+    with nothing pending too.
 
     The program's slot `last` answers for the configuration it last
     saw, while the same arrivals and initial overrides come with it:
-    `enabled_events` leaves its look-up there for `step`, and `step`
+    `enabled_events` leaves only its look-up there for `step`, and `step`
     leaves the key and labels of the recorded tick it built the
     configuration from.  The key after such a tick is read from the
     program's links, filled by the first full look-up that follows it."""
@@ -524,8 +531,6 @@ def _look_up(bundle: ModelBundle, config: Configuration):
         order = dict.fromkeys(chain(order, [
             (eid, None) for tok in new.values()
             for eid in prog.injection_events.get(tok.thimac, ())]))
-    if not order:
-        return None, None, new, order, None
     tokens = config.tokens
     if len(order) > 1:
         order = sorted(order, key=lambda entry: (
@@ -564,10 +569,10 @@ def _record(prog: Program, key, labels: list, opening, cfg: Configuration,
     ranked token after the tick, copies of the store tables, the
     pending instances and the firings, each kept with its subject's
     rank (a firing without a subject is shared as it is).  Nothing is
-    recorded for a tick without a key, past the table's bound, nor for
-    a tick whose bindings or outcome name a label without a rank;
-    returns whether the tick was recorded."""
-    if key is None or prog.tick_places + 1 + len(labels) > TICK_TABLE_PLACES:
+    recorded past the table's bound, nor for a tick whose bindings or
+    outcome name a label without a rank; returns whether the tick was
+    recorded."""
+    if prog.tick_places + 1 + len(labels) > TICK_TABLE_PLACES:
         return False
     enabled = _ranked([(eid, b.subject) for eid, _subj, b in opening
                        if b is not None], labels)
@@ -610,22 +615,20 @@ def _replay(config: Configuration, labels: list, new, entry):
 def step(bundle: ModelBundle, config: Configuration):
     """Execute one tick; returns (new configuration, trace entry).  A
     tick the program's tick table has recorded is replayed; any other
-    is opened (unless `enabled_events` just did), fired and recorded."""
-    look = _look_up(bundle, config)
-    key, labels, new, order, entry = look
+    is opened, fired and recorded."""
+    key, labels, new, order, entry = _look_up(bundle, config)
     prog = compile(bundle)
-    # taken out before firing, so a tick that raises leaves no slot
-    last, prog.last = prog.last, None
+    # cleared before firing, so a tick that raises leaves no slot
+    prog.last = None
     if entry is not None:
         cfg, trace_entry = _replay(config, labels, new, entry)
     else:
-        opening = (last[6] if last is not None and last[5] is look
-                   else _open_tick(prog, config, new, order))
+        opening = _open_tick(prog, config, new, order)
         cfg, trace_entry = _fire(prog, bundle, config, new, opening)
         if not _record(prog, key, labels, opening, cfg, trace_entry.fired):
             return cfg, trace_entry
     prog.last = (cfg, bundle.arrivals, tuple(bundle.initial.items()), key,
-                 labels, None, None)
+                 labels, None)
     return cfg, trace_entry
 
 
@@ -658,22 +661,15 @@ def enabled_events(bundle: ModelBundle, config: Configuration):
     order, with the subjects they would bind.  Includes the injections
     scheduled for that tick; ignores conflicts.  A recorded tick is read
     from the tick table; any other is opened, not recorded.  The
-    look-up, and the opening of an unrecorded tick, are left for a
-    `step` on the same configuration."""
-    look = _look_up(bundle, config)
-    _key, labels, new, order, entry = look
+    look-up is left for a `step` on the same configuration."""
+    _key, labels, new, order, entry = look = _look_up(bundle, config)
     prog = compile(bundle)
-    last = prog.last
-    if last is not None and last[5] is look:
-        opening = last[6]
-    else:
-        opening = (None if entry is not None
-                   else _open_tick(prog, config, new, order))
-        prog.last = (config, bundle.arrivals, tuple(bundle.initial.items()),
-                     None, None, look, opening)
+    prog.last = (config, bundle.arrivals, tuple(bundle.initial.items()),
+                 None, None, look)
     if entry is not None:
         return _labelled(entry[0], labels)
-    return [(eid, b.subject) for eid, _subj, b in opening if b is not None]
+    return [(eid, b.subject) for eid, _subj, b
+            in _open_tick(prog, config, new, order) if b is not None]
 
 
 # ---------------------------------------------------------------------------

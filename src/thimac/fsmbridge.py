@@ -54,6 +54,7 @@ from .model import (
     ThimacKind,
     TmError,
     TriggerEdge,
+    block_flag_id,
     classify_event,
     extract_region,
     has_errors,
@@ -168,11 +169,11 @@ def parse_fsm(text: str, file: str = "<fsm>") -> FsmParseResult:
             bad(tok, f"{kind} {name} imports as {tid}, as does {kind} "
                      f"{owner[tid]}", E_DUP_ID)
         owner.setdefault(tid, name)
+    blocked = {block_flag_id(tid): name for tid, name in owner.items()}
     for kind, name, tid, tok in made:
-        base = tid[:-len(".block")] if tid.endswith(".block") else None
-        if base in owner:
+        if tid in blocked:
             bad(tok, f"{kind} {name} imports as {tid}, the block flag id "
-                     f"of {kind} {owner[base]}", E_DUP_ID)
+                     f"of {kind} {blocked[tid]}", E_DUP_ID)
     generated = {_USED, *owner}     # ids no guard flag may take
     transitions = []
     for src, _arrow, dst, _on, label, *when in raw_transitions:

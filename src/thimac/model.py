@@ -64,6 +64,11 @@ TOKEN_KINDS = frozenset(
 )
 
 
+def block_flag_id(thimac: str) -> str:
+    """The id of the flag that blocks thimac `thimac`: `M.block` for M."""
+    return f"{thimac}.block"
+
+
 class Effect(Enum):
     """State change a trigger edge applies to its target store."""
 
@@ -229,11 +234,6 @@ class StaticModel:
     @cached_property
     def _by_id(self) -> dict:
         return {t.id: t for t in self.thimacs}
-
-    @cached_property
-    def _block_ids(self) -> dict:
-        # thimac id -> the id of its block flag, `M.block` by convention
-        return {t.id: f"{t.id}.block" for t in self.thimacs}
 
     @cached_property
     def _edges_from(self) -> tuple:
@@ -483,7 +483,7 @@ def extract_region(model: StaticModel, action_refs) -> Region:
     actions = frozenset(action_refs)
     if not actions:
         raise TmError(E_EMPTY_REGION, "region has no actions")
-    tmap = model.thimac_map()
+    tmap = model._by_id
     for ref in sorted(actions, key=str):
         problem = ref_problem(tmap, ref)
         if problem is not None:
@@ -686,8 +686,8 @@ class Program:
     thimacs to the next tick's key and the ranks of the tokens still
     live; `tick_places` counts the places both hold.
     `last` is the engine's one-slot record of the configuration it
-    handled last (see `engine._look_up`); like every table here it
-    holds no model, bundle or program, so no cycle forms."""
+    handled last (see `engine._look_up`), never an opening; like every
+    table here it holds no model, bundle or program, so no cycle forms."""
 
     def __init__(self, bundle: "ModelBundle"):
         model = bundle.model
@@ -800,9 +800,9 @@ def validate_model(bundle, file: str = "<model>", positions=None):
             if problem is not None:
                 emit(key, *problem)
 
-    # a raised flag `M.block` projects thimac M as blocked
+    # a token-bearing thimac's block flag must be a flag
     for t in tmap.values():
-        blocker = tmap.get(f"{t.id}.block")
+        blocker = tmap.get(block_flag_id(t.id))
         if (t.kind in TOKEN_KINDS and blocker is not None
                 and blocker.kind != ThimacKind.FLAG):
             emit(("thimac", blocker.id), E_UNRESOLVED_REF,

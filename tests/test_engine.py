@@ -1146,6 +1146,18 @@ def test_the_tick_table_stops_recording_at_its_bound(what):
         assert prog.tick_places > engine.TICK_TABLE_PLACES - 140
 
 
+def test_a_subject_without_a_token_is_never_recorded():
+    # a subjectless instance pended under a label no token has fires
+    # under that label, which has no rank to record it by
+    b = countdown_bundle()
+    for label in ("x", "y"):
+        cfg = Configuration(1, {}, {"f": False},
+                            {"tm": engine.TimerState(6000)}, {},
+                            {("again", label): None})
+        assert fired_list(step(b, cfg)[1]) == [("again", label)]
+    assert model.compile(b).ticks == {}
+
+
 def counted_places(prog):
     """The places the program's tables hold: one per link, and one per
     recorded tick plus one per ranked token of it."""
@@ -1170,7 +1182,8 @@ def test_every_link_and_entry_counts_once(what):
 
 
 def test_a_handed_off_look_up_serves_one_step(monkeypatch):
-    # nothing is recorded, so each step fires what enabled_events opened
+    # nothing is recorded, so each step opens and fires the tick whose
+    # look-up enabled_events left
     monkeypatch.setattr(engine, "TICK_TABLE_PLACES", -1)
     b = assembly()
     cfg = init(b)
@@ -1183,3 +1196,36 @@ def test_a_handed_off_look_up_serves_one_step(monkeypatch):
         assert not ({id(tok) for tok in first.tokens.values()}
                     & {id(tok) for tok in second.tokens.values()})
         cfg = first
+
+
+def idle_gap_assembly():
+    """The assembly line with an idle gap: both parts have shipped and
+    nothing is pending for ticks before the third arrives."""
+    return dataclasses.replace(assembly(), schedule=(
+        Injection(1, "env", "a"), Injection(2, "env", "b"),
+        Injection(25, "env", "c")))
+
+
+@pytest.mark.parametrize("peek", [False, True], ids=["run", "peek"])
+@pytest.mark.parametrize("make", [
+    lambda: parse_file(FIXTURES / "phone_line.tm").bundle, idle_gap_assembly],
+    ids=["phone_line", "idle gap"])
+def test_a_second_run_replays_every_tick(monkeypatch, make, peek):
+    # a tick with nothing pending, such as the phone line's timer
+    # counting down, is keyed and recorded like any other
+    b = make()
+    expected = run(b)
+
+    def no_firing(*_args):
+        raise AssertionError("a recorded tick was fired")
+
+    monkeypatch.setattr(engine, "_fire", no_firing)
+    cfg, trace, idle = init(b), [], 0
+    while not quiescent(b, cfg):
+        idle += not cfg.pending and cfg.tick + 1 not in b.arrivals
+        if peek:
+            enabled_events(b, cfg)
+        cfg, entry = step(b, cfg)
+        trace.append(entry)
+    assert (cfg, trace) == expected
+    assert idle >= 4
