@@ -582,7 +582,7 @@ def serialize(bundle: ModelBundle) -> str:
     for t in b.model.thimacs:
         parts.append(_thimac_block(t))
     for f in b.model.flows:
-        parts.append(f"flow {f.src} -> {f.dst}")
+        parts.append("flow {} -> {}".format(*f.sort_key))
     for t in b.model.triggers:
         parts.append(_trigger_line(t))
     for e in b.events:

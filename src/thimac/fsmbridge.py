@@ -55,6 +55,7 @@ from .model import (
     TmError,
     TriggerEdge,
     block_flag_id,
+    canonical_model,
     classify_event,
     extract_region,
     has_errors,
@@ -267,7 +268,11 @@ def _refs(tid: str) -> _Refs:
 
 
 def fsm_to_tm(spec: FsmSpec) -> ModelBundle:
-    """Build and validate the thing-machine form of a state machine."""
+    """Build and validate the thing-machine form of a state machine.
+    Thimacs, flows and triggers come in canonical order, so the model
+    equals its own reparse and shares its event analyses with it;
+    events keep generation order: states first, then one event per
+    transition, in declaration order."""
     labels = list(dict.fromkeys(t.label for t in spec.transitions))
     state_id, stim_id = _thimac_ids(spec.states, labels)
     guards = list(dict.fromkeys(t.guard for t in spec.transitions
@@ -337,8 +342,7 @@ def fsm_to_tm(spec: FsmSpec) -> ModelBundle:
         behavior.append((eid, state_event[t.dst]))
 
     bundle = ModelBundle(
-        model=StaticModel(tuple(thimacs), tuple(flows), tuple(triggers),
-                          spec.name),
+        model=canonical_model(thimacs, flows, triggers, spec.name),
         events=tuple(events),
         behavior=tuple(behavior),
         priority=tuple(e.id for e in events),

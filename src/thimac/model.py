@@ -12,6 +12,7 @@ event classification, flow-path decomposition).
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -146,9 +147,9 @@ def guard_text(guard: Guard) -> str:
     return " and ".join(str(atom) for atom in guard)
 
 
-# Canonical trigger order, emission order and firing order alike: the
-# edge's `sort_key`, computed once per edge.
-trigger_key = attrgetter("sort_key")
+# Canonical edge order, and for triggers firing order too: the edge's
+# `sort_key`, computed once per edge.
+edge_key = attrgetter("sort_key")
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,12 @@ class FlowEdge:
     src: ActionRef
     dst: ActionRef
 
+    @cached_property
+    def sort_key(self) -> tuple:
+        """The texts of source and target, which order flows in
+        canonical form."""
+        return (str(self.src), str(self.dst))
+
 
 @dataclass(frozen=True)
 class TriggerEdge:
@@ -217,10 +224,26 @@ class TriggerEdge:
                 guard_text(self.guard))
 
 
+class _InfoTable(dict):
+    """Event -> EventInfo for one model value; a dict that can be
+    weakly referenced."""
+
+    __slots__ = ("__weakref__",)
+
+
+# (thimacs, flows, triggers, name) -> the table every live model with
+# those fields shares; an entry goes when its last model does.  The
+# records in a table are frozen and hold no model, so sharing them
+# hands no state from one model to another.
+_SHARED_INFOS = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class StaticModel:
     """The wiring layer: thimacs plus flow and trigger edges.  Frozen, so
-    the tables and event analyses cached on it never go stale."""
+    the tables and event analyses cached on it never go stale.  Equal
+    models share one table of event analyses, so a model and its
+    reparse analyse each event once between them."""
 
     thimacs: tuple = ()
     flows: tuple = ()
@@ -247,11 +270,21 @@ class StaticModel:
 
     @cached_property
     def _event_infos(self) -> dict:
-        return {}
+        # the key holds the name, which every region names as its
+        # parent, and the edge order, which induced regions keep
+        key = (self.thimacs, self.flows, self.triggers, self.name)
+        try:
+            table = _SHARED_INFOS.get(key)
+        except TypeError:       # a field that does not hash, e.g. a list
+            return {}
+        if table is None:
+            table = _SHARED_INFOS[key] = _InfoTable()
+        return table
 
     def event_info(self, event: "Event") -> "EventInfo":
         """The event's analysis and firing plan against this model, built
-        once and shared by validation and every compiled program."""
+        once per model value: validation and every compiled program of
+        this model, and of every live model equal to it, share it."""
         info = self._event_infos.get(event)
         if info is None:
             info = self._event_infos[event] = _analyse(self, event)
@@ -583,15 +616,16 @@ def _guard_checks(guard: Guard) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class EventInfo:
-    """One event's analysis against its model, built once per model by
-    `model.event_info(event)`: region, flow paths (primary first; None
-    with a `reason` when malformed), subject mode, progression target
-    and firing plan.  `gates` checks every gating guard; `steps` holds,
-    per effectful trigger in canonical order, its checks, target id,
-    effect and target kind; `flow`, per path, its head thimac and where
-    its token rests after firing, (None, None) when it exits; `writes`,
-    the flags and timers written, as ("store", id) keys (counters
-    commute).  It holds no reference to the model, so no cycle forms."""
+    """One event's analysis against its model, built once per model
+    value by `model.event_info(event)`: region, flow paths (primary
+    first; None with a `reason` when malformed), subject mode,
+    progression target and firing plan.  `gates` checks every gating
+    guard; `steps` holds, per effectful trigger in canonical order, its
+    checks, target id, effect and target kind; `flow`, per path, its
+    head thimac and where its token rests after firing, (None, None)
+    when it exits; `writes`, the flags and timers written, as ("store",
+    id) keys (counters commute).  It holds no reference to the model,
+    so no cycle forms."""
 
     event: Event
     region: Region
@@ -656,7 +690,7 @@ def _analyse(model: StaticModel, event: Event) -> EventInfo:
                                   or every_signal or dst in heads)
         for atom in members[0].guard])
     steps, writes = [], []
-    for t in sorted(region.triggers, key=trigger_key):
+    for t in sorted(region.triggers, key=edge_key):
         if t.effect is None:
             continue
         kind = getattr(tmap.get(t.dst.thimac), "kind", None)
@@ -952,19 +986,25 @@ def initial_problem(t: Optional[Thimac], tid: str, value):
     return None
 
 
+_id_key = attrgetter("id")
+
+
+def canonical_model(thimacs, flows, triggers, name: str) -> StaticModel:
+    """The static model with thimacs ordered by id and edges by their
+    `sort_key`, the order of canonical form."""
+    return StaticModel(tuple(sorted(thimacs, key=_id_key)),
+                       tuple(sorted(flows, key=edge_key)),
+                       tuple(sorted(triggers, key=edge_key)), name)
+
+
 def canonicalize(bundle: ModelBundle) -> ModelBundle:
     """Normal form: everything sorted, priority spelled out in full, an
     empty model name spelled `unnamed`."""
-    by_id = attrgetter("id")
-    model = StaticModel(
-        thimacs=tuple(sorted(bundle.model.thimacs, key=by_id)),
-        flows=tuple(sorted(bundle.model.flows, key=lambda f: (str(f.src), str(f.dst)))),
-        triggers=tuple(sorted(bundle.model.triggers, key=trigger_key)),
-        name=bundle.model.name or "unnamed",
-    )
+    m = bundle.model
     return ModelBundle(
-        model=model,
-        events=tuple(sorted(bundle.events, key=by_id)),
+        model=canonical_model(m.thimacs, m.flows, m.triggers,
+                              m.name or "unnamed"),
+        events=tuple(sorted(bundle.events, key=_id_key)),
         behavior=tuple(sorted(bundle.behavior)),
         priority=bundle.priority_order(),
         initial=dict(sorted(bundle.initial.items())),

@@ -297,9 +297,18 @@ def test_format_projection_lines():
     assert "unmapped: Closed" in text
 
 
-def test_chain_import_analyses_each_event_at_most_twice(monkeypatch):
-    # import validates once, the reparse validates once, and the run
-    # reuses the reparsed model's analyses: a rescan shows up here
+def chain_spec(n):
+    """A chain of `n` states, each stepping to the next on `go`."""
+    lines = (["fsm chain"] + [f"state S{i}" for i in range(n)]
+             + ["initial S0"]
+             + [f"trans S{i} -> S{i + 1} on go" for i in range(n - 1)])
+    return parse_fsm("\n".join(lines)).spec
+
+
+def test_chain_import_analyses_each_event_once(monkeypatch):
+    # the import's self-check analyses each event; the reparse equals
+    # the import, so its validation and the run's compile reuse those
+    # analyses: a second analysis of any event shows up here
     calls = []
     real = model.induced_region
 
@@ -309,16 +318,28 @@ def test_chain_import_analyses_each_event_at_most_twice(monkeypatch):
 
     monkeypatch.setattr(model, "induced_region", counting)
     n = 60
-    lines = (["fsm chain"] + [f"state S{i}" for i in range(n)]
-             + ["initial S0"]
-             + [f"trans S{i} -> S{i + 1} on go" for i in range(n - 1)])
-    spec = parse_fsm("\n".join(lines)).spec
+    spec = chain_spec(n)
     bundle = fsm_to_tm(spec)
     reparsed = parse(serialize(bundle)).bundle
     stimuli = [(2 + 2 * k, "go") for k in range(n - 1)]
     state, _fired = drive(reparsed, spec, stimuli)
     assert state == oracle_walk(spec, stimuli)[0] == f"S{n - 1}"
-    assert len(calls) <= 2 * len(bundle.events)
+    assert len(calls) == len(bundle.events)
+
+
+@pytest.mark.parametrize("make_spec", [door_spec, lambda: chain_spec(60)],
+                         ids=["door", "chain"])
+def test_import_equals_its_reparse_and_keeps_event_order(make_spec):
+    spec = make_spec()
+    bundle = fsm_to_tm(spec)
+    assert bundle.model == parse(serialize(bundle)).bundle.model
+    # events stay in generation order, states first, as callers index
+    # the transitions' events by declaration
+    n = len(spec.states)
+    assert [e.label for e in bundle.events[:n]] == [
+        f"resting in {s}" for s in spec.states]
+    assert [e.label for e in bundle.events[n:]] == [
+        f"{t.src} to {t.dst} on {t.label}" for t in spec.transitions]
 
 
 def test_parse_fsm_positions_names_that_are_not_identifiers():
@@ -460,3 +481,4 @@ def test_every_accepted_spec_imports_to_a_valid_bundle(name, states, data):
     assume(result.ok)
     bundle = fsm_to_tm(result.spec)
     assert not has_errors(validate_model(bundle))
+    assert bundle.model == parse(serialize(bundle)).bundle.model

@@ -1,5 +1,7 @@
 """Structural checks: references, kinds, regions, validation."""
 
+import gc
+import weakref
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -45,6 +47,7 @@ from thimac import (
     SEV_WARNING,
 )
 from thimac.dsl import parse_file
+from thimac.engine import run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -426,7 +429,9 @@ def test_model_and_bundle_are_frozen():
                                      "phone_line.tm"])
 def test_validation_alone_plans_every_event(fixture):
     parsed = parse_file(FIXTURES / fixture).bundle
-    b = replace(parsed, model=replace(parsed.model))    # no cached analyses
+    # renamed, so no live model shares its analyses
+    b = replace(parsed, model=replace(parsed.model, name="unshared"))
+    assert not b.model._event_infos
     assert not has_errors(validate_model(b))
     infos = b.model._event_infos
     assert set(infos) == set(b.events)
@@ -434,6 +439,59 @@ def test_validation_alone_plans_every_event(fixture):
         assert all(type(plan) is tuple
                    for plan in (info.gates, info.steps, info.flow))
         assert type(info.writes) is frozenset
+
+
+# --- shared event analyses -------------------------------------------------
+
+def test_equal_models_share_each_event_analysis():
+    a, b = clean_bundle(), clean_bundle()
+    assert a.model is not b.model and a.model == b.model
+    for e in a.events:
+        assert a.model.event_info(e) is b.model.event_info(e)
+
+
+def test_models_differing_in_name_analyse_apart():
+    b = clean_bundle()
+    other = replace(b.model, name="other")
+    for e in b.events:
+        assert b.model.event_info(e).region.parent == "m"
+        assert other.event_info(e).region.parent == "other"
+
+
+def test_models_differing_in_edge_order_analyse_apart():
+    b = clean_bundle()
+    flipped = replace(b.model, flows=b.model.flows[::-1],
+                      triggers=b.model.triggers[::-1])
+    arrive = b.event_map()["arrive"]
+    flows = b.model.event_info(arrive).region.flows
+    assert len(flows) == 2
+    assert flipped.event_info(arrive).region.flows == flows[::-1]
+
+
+def test_a_shared_table_goes_with_the_last_equal_model():
+    gc.collect()
+    gc.disable()
+    try:
+        a, b = clean_bundle(), clean_bundle()
+        assert validate_model(a) == []
+        table = weakref.ref(a.model._event_infos)
+        assert b.model._event_infos is table()
+        del a
+        assert table() is not None
+        del b
+        assert table() is None
+        assert not clean_bundle().model._event_infos
+    finally:
+        gc.enable()
+
+
+def test_a_model_built_with_lists_still_validates_and_runs():
+    b = clean_bundle()
+    listed = replace(b, model=StaticModel(
+        list(b.model.thimacs), list(b.model.flows), list(b.model.triggers),
+        b.model.name))
+    assert validate_model(listed) == []
+    assert run(listed, max_ticks=8) == run(b, max_ticks=8)
 
 
 def test_priority_order_appends_unlisted():
