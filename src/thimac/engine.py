@@ -49,36 +49,31 @@ Runs revisit few ticks once token names are set aside, so the compiled
 `Program` also holds a tick table, which `step` and `enabled_events`
 look the coming tick up in once its arrivals are injected.  The key
 replaces each token label by the token's rank, the live tokens in
-injection order and then the tick's arrivals: it holds the live
-tokens' places, the arrival thimacs, the pending instances in the order
-the opening takes them, with subjects as ranks (a subject with no live
-token can only lapse, so all such share one mark), the store values
-and the bundle's initial overrides, which a counter reset reads.  A
-rank may stand for a label because a label only tells tokens apart.
+injection order and then the tick's arrivals.  It holds the state key
+of the configuration, the arrival thimacs and the bundle's initial
+overrides, which a counter reset reads; the state key holds the live
+tokens' places, the pending instances in the order they were pended,
+with subjects as ranks (a subject with no live token can only lapse,
+so all such share one mark), and the store values.  A rank may stand
+for a label because a label only tells tokens apart.
 An entry, recorded only by `step`, is one whole fired tick by rank:
 the opening's bindings, where each ranked token rests after it, store
 tables ready to copy, the next pending instances and the firings, one
-shared `FiredEvent` for each firing without a subject.
-`enabled_events` reads an entry's bindings or opens the tick without
-recording it, and a hit in `step` builds the next configuration as a
-fired tick does.  Every tick is keyed and recorded, one with nothing
-pending too, except one that raises, one past `TICK_TABLE_PLACES` and
-one whose outcome names a label without a rank.
+shared `FiredEvent` for each firing without a subject, and the state
+key of the configuration it builds with the ranks of the tokens still
+live.  `enabled_events` reads an entry's bindings or opens the tick
+without recording it, and a hit in `step` builds the next
+configuration as a fired tick does.  Every tick is keyed and
+recorded, one with nothing pending too, except one that raises, one
+past `TICK_TABLE_PLACES` and one whose outcome names a label without a
+rank.
 
-Each tick is keyed once.  The program keeps a one-slot record of the
-configuration it handled last.  `enabled_events` leaves its look-up
-there, and a `step` on that same configuration takes it instead of
-looking up again; `step` opens an unrecorded tick itself.  `step`
-leaves the key and labels of the recorded tick (a hit, or a miss it
-has just recorded) it built the configuration from; the next look-up
-on that configuration reads its key from the program's links, by the
-key before and the arrival thimacs, together with the ranks of the
-tokens still live, and so skips the token scan, the pending sort and
-the key build.  The first full look-up after such a tick fills its
-link, so a run replays all of an earlier equal run after one full
-look-up.  The slot answers only for the same configuration object
-with the same arrivals and initial overrides, so a configuration's
-tables must not change once `init` or `step` returns it.
+A configuration that `step` builds from a recorded tick (a hit, or a
+miss it has just recorded) carries its state key and its live labels
+(`Configuration.ranked`), so the look-up after it skips the token scan
+and the key build; any other configuration, such as `init`'s or a
+copy, is ranked in full.  A configuration's tables must therefore not
+change once `step` returns it.
 
 A run ends at quiescence: nothing pending, no injections left, and no
 timer still counting.
@@ -87,11 +82,11 @@ timer still counting.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
 
-from .dsl import _escape, read_string
+from .dsl import _escape, is_identifier, read_string
 from .model import (
     STAGE_DEPTH,
     STORE_KINDS,
@@ -113,7 +108,7 @@ from .model import (
 
 # A program's tick table stops recording once it holds this many places
 # in all: one per recorded tick and one per live or arriving token of
-# it, and one per link.
+# it.
 TICK_TABLE_PLACES = 5000
 
 # enum members read once: reading one off its class costs about three
@@ -161,7 +156,10 @@ class Token:
 class Configuration:
     """Full machine state after `tick` completed ticks.  `pending` maps
     each (event, subject) instance to None in the order it was pended,
-    so a copy or a pickle iterates it alike."""
+    so a copy or a pickle iterates it alike.  `ranked` is the state key
+    and the live labels by rank of a configuration `step` built from a
+    recorded tick, else None; a copy, a pickle and `dataclasses.replace`
+    are built from the other fields, so they are ranked in full."""
 
     tick: int
     counters: dict
@@ -169,6 +167,12 @@ class Configuration:
     timers: dict
     tokens: dict
     pending: dict
+    ranked: Optional[tuple] = field(default=None, init=False, compare=False,
+                                    repr=False)
+
+    def __reduce__(self):
+        return Configuration, (self.tick, self.counters, self.flags,
+                               self.timers, self.tokens, self.pending)
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,13 +366,24 @@ def _inject(prog: Program, arrivals, config: Configuration):
     return new
 
 
-def _open_tick(prog: Program, config: Configuration, new, order):
-    """Resolve each pending instance of `order` against the start of the
-    tick after `config`, without changing it: the stores of `config`
-    (injection moves no store) and the placements after the injected
-    tokens `new`.  Returns (event, pended subject, binding or None) per
-    instance."""
-    places = _placements(chain(config.tokens.values(), new.values()))
+def _open_tick(prog: Program, config: Configuration, new):
+    """Resolve the pending instances of the tick after `config`, with
+    the events the injected tokens `new` pend, by priority, then subject
+    (none first, then the older token, then a subject with no token),
+    against the start of that tick, without changing `config`: the
+    stores of `config` (injection moves no store) and the placements
+    after the injection.  Returns (event, pended subject, binding or
+    None) per instance in that order."""
+    order = config.pending
+    if new:
+        order = dict.fromkeys(chain(order, [
+            (eid, None) for tok in new.values()
+            for eid in prog.injection_events.get(tok.thimac, ())]))
+    tokens = config.tokens
+    order = sorted(order, key=lambda entry: (
+        prog.priority[entry[0]], entry[1] is not None,
+        tokens[entry[1]].seq if entry[1] in tokens else len(tokens)))
+    places = _placements(chain(tokens.values(), new.values()))
     return [(eid, subj, _resolve(prog, eid, subj, config, places))
             for eid, subj in order]
 
@@ -478,124 +493,78 @@ def _labelled(ranked: tuple, labels: list) -> list:
             for eid, rank in zip(flat, flat)]
 
 
-# A program's slot `last` is (configuration, arrivals, initial items,
-# key, labels, look-up): either the key and labels of the recorded tick
-# `step` built the configuration from, or the look-up `enabled_events`
-# left for `step`, the other field or pair being None.
-
-
-def _look_up(bundle: ModelBundle, config: Configuration):
-    """Inject the arrivals of the tick after `config`, key the tick with
-    every token label replaced by its rank, and look it up in the
-    program's tick table.  Returns the key, the labels by rank (the live
-    tokens in injection order, then the arrivals), the injected tokens,
-    the pending instances in the order the opening resolves them (by
-    priority, then subject: none first, then the older token, then a
-    subject with no token; None on a hit, which is not opened) and the
-    table's entry, None when unrecorded.  Every tick gets a key, one
-    with nothing pending too.
-
-    The program's slot `last` answers for the configuration it last
-    saw, while the same arrivals and initial overrides come with it:
-    `enabled_events` leaves only its look-up there for `step`, and `step`
-    leaves the key and labels of the recorded tick it built the
-    configuration from.  The key after such a tick is read from the
-    program's links, filled by the first full look-up that follows it."""
-    prog = compile(bundle)
-    arrivals = bundle.arrivals
-    initial = tuple(bundle.initial.items())
-    last = prog.last
-    if last is not None and (last[0] is not config or last[1] is not arrivals
-                             or last[2] != initial):
-        last = None
-    if last is not None and last[5] is not None:
-        return last[5]
-    injections = arrivals.get(config.tick + 1)
-    new = _inject(prog, injections, config) if injections else {}
-    link_key = None
-    if last is not None:
-        # the key before holds the initial overrides the slot checked
-        link_key = (last[3], tuple([tok.thimac for tok in new.values()])
-                    if new else ())
-        link = prog.links.get(link_key)
-        if link is not None:
-            key, ranks = link
-            entry = prog.ticks.get(key)
-            if entry is not None:
-                labels = [last[4][rank] for rank in ranks]
-                labels += new
-                return key, labels, new, None, entry
-            link_key = None
-    order = config.pending
-    if new:
-        order = dict.fromkeys(chain(order, [
-            (eid, None) for tok in new.values()
-            for eid in prog.injection_events.get(tok.thimac, ())]))
-    tokens = config.tokens
-    if len(order) > 1:
-        order = sorted(order, key=lambda entry: (
-            prog.priority[entry[0]], entry[1] is not None,
-            tokens[entry[1]].seq if entry[1] in tokens else len(tokens)))
+def _rank(config: Configuration):
+    """The state key of `config`, every token label replaced by its
+    rank, and its live labels by rank (in injection order): each live
+    token's (thimac, stage), the pending instances in the order they
+    were pended, and each store table as its size, its ids and its
+    values."""
     labels, places = [], []
-    for tok in tokens.values():
+    for tok in config.tokens.values():
         if tok.thimac is not None:
             labels.append(tok.label)
             places += (tok.thimac, tok.stage)
-    if new:
-        labels += new
-        places.append(tuple([tok.thimac for tok in new.values()]))
-    # after the places and pending ranks, each store table and the
-    # initial overrides as its size, its ids and its values
     counters, flags, timers = config.counters, config.flags, config.timers
-    key = (tuple(places), _ranked(order, labels),
-           len(counters), *counters, *counters.values(),
-           len(flags), *flags, *flags.values(),
-           len(timers), *timers, *timers.values(),
-           len(initial), *initial)
-    if link_key is not None and prog.tick_places < TICK_TABLE_PLACES:
-        # the live tokens by their rank in the tick before
-        rank = {label: i for i, label in enumerate(last[4])}
-        prog.links[link_key] = (key, tuple([
-            rank[label] for label in labels[:len(labels) - len(new)]]))
-        prog.tick_places += 1
-    entry = prog.ticks.get(key)
-    return key, labels, new, order if entry is None else None, entry
+    return (tuple(places), _ranked(config.pending, labels),
+            len(counters), *counters, *counters.values(),
+            len(flags), *flags, *flags.values(),
+            len(timers), *timers, *timers.values()), tuple(labels)
+
+
+def _look_up(bundle: ModelBundle, config: Configuration):
+    """Inject the arrivals of the tick after `config`, key the tick and
+    look it up in the program's tick table.  Returns the key (the state
+    key `config` carries or `_rank` builds, the arrival thimacs and the
+    initial overrides), the labels by rank (the live tokens in injection
+    order, then the arrivals), the injected tokens and the table's
+    entry, None when unrecorded."""
+    prog = compile(bundle)
+    injections = bundle.arrivals.get(config.tick + 1)
+    new = _inject(prog, injections, config) if injections else {}
+    state, labels = config.ranked or _rank(config)
+    key = (state, tuple([tok.thimac for tok in new.values()]),
+           tuple(bundle.initial.items()))
+    return key, [*labels, *new], new, prog.ticks.get(key)
 
 
 def _record(prog: Program, key, labels: list, opening, cfg: Configuration,
-            fired) -> bool:
+            fired):
     """Record under `key` the tick that opened as `opening` and fired
     into `cfg`, by rank: the opening's bindings, (thimac, stage) of each
     ranked token after the tick, copies of the store tables, the
     pending instances and the firings, each kept with its subject's
-    rank (a firing without a subject is shared as it is).  Nothing is
-    recorded past the table's bound, nor for a tick whose bindings or
-    outcome name a label without a rank; returns whether the tick was
-    recorded."""
+    rank (a firing without a subject is shared as it is), and the state
+    key of `cfg` with the ranks of its live tokens, which `cfg` then
+    carries.  Nothing is recorded past the table's bound, nor for a
+    tick whose bindings or outcome name a label without a rank."""
     if prog.tick_places + 1 + len(labels) > TICK_TABLE_PLACES:
-        return False
+        return
     enabled = _ranked([(eid, b.subject) for eid, _subj, b in opening
                        if b is not None], labels)
     pending = _ranked(cfg.pending, labels)
     ranks = _ranked([(f.event, f.subject) for f in fired], labels)
     if -1 in enabled or -1 in pending or -1 in ranks:
-        return False
+        return
     places = []
     for label in labels:
         tok = cfg.tokens[label]
         places += (tok.thimac, tok.stage)
+    state, live = _rank(cfg)
     prog.tick_places += 1 + len(labels)
     prog.ticks[key] = (enabled, tuple(places), dict(cfg.counters),
                        dict(cfg.flags), dict(cfg.timers), pending,
-                       tuple(zip(fired, ranks[1::2])))
-    return True
+                       tuple(zip(fired, ranks[1::2])), state,
+                       tuple([labels.index(label) for label in live]))
+    object.__setattr__(cfg, "ranked", (state, live))
 
 
 def _replay(config: Configuration, labels: list, new, entry):
     """The next configuration and trace entry of the tick after
     `config`, with its injected tokens `new`, recorded as `entry`, with
-    ranks read back as `labels`."""
-    _enabled, places, counters, flags, timers, pending, fired = entry
+    ranks read back as `labels`; the configuration carries the entry's
+    state key."""
+    _enabled, places, counters, flags, timers, pending, fired, state, live \
+        = entry
     cfg = _next(config, new, counters.copy(), flags.copy(), timers.copy())
     tokens = cfg.tokens
     places = iter(places)
@@ -607,6 +576,8 @@ def _replay(config: Configuration, labels: list, new, entry):
     pending = iter(pending)
     for eid, rank in zip(pending, pending):
         pend[eid, rank if rank is None else labels[rank]] = None
+    object.__setattr__(cfg, "ranked",
+                       (state, tuple([labels[rank] for rank in live])))
     return cfg, TraceEntry(cfg.tick, tuple([
         f if rank is None else FiredEvent(f.event, labels[rank], f.bookkeeping)
         for f, rank in fired]))
@@ -616,19 +587,13 @@ def step(bundle: ModelBundle, config: Configuration):
     """Execute one tick; returns (new configuration, trace entry).  A
     tick the program's tick table has recorded is replayed; any other
     is opened, fired and recorded."""
-    key, labels, new, order, entry = _look_up(bundle, config)
-    prog = compile(bundle)
-    # cleared before firing, so a tick that raises leaves no slot
-    prog.last = None
+    key, labels, new, entry = _look_up(bundle, config)
     if entry is not None:
-        cfg, trace_entry = _replay(config, labels, new, entry)
-    else:
-        opening = _open_tick(prog, config, new, order)
-        cfg, trace_entry = _fire(prog, bundle, config, new, opening)
-        if not _record(prog, key, labels, opening, cfg, trace_entry.fired):
-            return cfg, trace_entry
-    prog.last = (cfg, bundle.arrivals, tuple(bundle.initial.items()), key,
-                 labels, None)
+        return _replay(config, labels, new, entry)
+    prog = compile(bundle)
+    opening = _open_tick(prog, config, new)
+    cfg, trace_entry = _fire(prog, bundle, config, new, opening)
+    _record(prog, key, labels, opening, cfg, trace_entry.fired)
     return cfg, trace_entry
 
 
@@ -660,16 +625,12 @@ def enabled_events(bundle: ModelBundle, config: Configuration):
     """Instances that could fire in the upcoming tick, in priority
     order, with the subjects they would bind.  Includes the injections
     scheduled for that tick; ignores conflicts.  A recorded tick is read
-    from the tick table; any other is opened, not recorded.  The
-    look-up is left for a `step` on the same configuration."""
-    _key, labels, new, order, entry = look = _look_up(bundle, config)
-    prog = compile(bundle)
-    prog.last = (config, bundle.arrivals, tuple(bundle.initial.items()),
-                 None, None, look)
+    from the tick table; any other is opened, not recorded."""
+    _key, labels, new, entry = _look_up(bundle, config)
     if entry is not None:
         return _labelled(entry[0], labels)
     return [(eid, b.subject) for eid, _subj, b
-            in _open_tick(prog, config, new, order) if b is not None]
+            in _open_tick(compile(bundle), config, new) if b is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -689,13 +650,16 @@ def filter_displayed(bundle: ModelBundle, trace):
 
 
 def format_trace(trace) -> str:
-    """One line per tick: `tick N: E1/S1 E2`."""
+    """One line per tick: `tick N: E1/S1 E2`, a subject that is not an
+    identifier quoted as in the model format."""
     lines = []
     for entry in trace:
         parts = []
         for f in entry.fired:
-            parts.append(f"{f.event}/{f.subject}" if f.subject is not None
-                         else f.event)
+            subject = f.subject
+            if subject is not None and not is_identifier(subject):
+                subject = _escape(subject)
+            parts.append(f.event if subject is None else f"{f.event}/{subject}")
         lines.append(f"tick {entry.tick}: {' '.join(parts)}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -715,13 +715,9 @@ class Program:
     a token lands in a thimac or a timer runs out, and where a token
     injected into a thimac lands (receive, else release).  The schedule
     and initial overrides are read at run time instead.  `ticks` is the
-    engine's tick table, filled as bundles sharing the program run;
-    `links` maps a recorded tick's key and the next tick's arrival
-    thimacs to the next tick's key and the ranks of the tokens still
-    live; `tick_places` counts the places both hold.
-    `last` is the engine's one-slot record of the configuration it
-    handled last (see `engine._look_up`), never an opening; like every
-    table here it holds no model, bundle or program, so no cycle forms."""
+    engine's tick table, filled as bundles sharing the program run, and
+    `tick_places` counts the places it holds; like every table here it
+    holds no model, bundle or program, so no cycle forms."""
 
     def __init__(self, bundle: "ModelBundle"):
         model = bundle.model
@@ -757,9 +753,7 @@ class Program:
             raise TmError(E_UNRESOLVED_REF, f"chronology names unknown "
                                             f"event {err.args[0]}") from None
         self.ticks: dict = {}
-        self.links: dict = {}
         self.tick_places = 0
-        self.last: Optional[tuple] = None
 
 
 def compile(bundle: "ModelBundle") -> Program:

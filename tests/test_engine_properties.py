@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -282,15 +283,16 @@ def fenced_inputs():
 
 
 def test_a_chained_look_up_equals_a_full_one(monkeypatch):
-    # a full look-up ranks the pending instances; one that follows a
-    # recorded tick reads its key from the program's links instead
+    # a full look-up ranks the pending instances; one on a configuration
+    # step built from a recorded tick reads the key it carries instead,
+    # and a copy carries none
     ranked = []
     real_ranked = engine._ranked
     monkeypatch.setattr(engine, "_ranked",
                         lambda *args: ranked.append(1) or real_ranked(*args))
     chained = 0
     for b in fenced_inputs():
-        # the first run records the ticks and links the second follows
+        # the first run records the ticks the second replays
         for _ in range(2):
             cfg = init(b)
             while not quiescent(b, cfg) and cfg.tick < MAX_TICKS:
@@ -332,14 +334,55 @@ def test_stepping_a_copy_gives_the_same_tick():
                 assert step(b, again) == (nxt, entry)
 
 
-def test_a_look_up_is_handed_only_to_its_own_configuration(monkeypatch):
-    def cold_step(b, cfg):
-        # a fresh copy of the model, whose table records nothing
-        with monkeypatch.context() as patch:
-            patch.setattr(engine, "TICK_TABLE_PLACES", -1)
-            return step(dataclasses.replace(
-                b, model=dataclasses.replace(b.model)), copy.deepcopy(cfg))
+def table_free_step(monkeypatch, b, cfg):
+    """`step` on a fresh copy of the model, whose table records nothing,
+    and a deep copy of `cfg`: (configuration, trace entry), or the
+    error code it raises."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "TICK_TABLE_PLACES", -1)
+        return stepped_or_code(dataclasses.replace(
+            b, model=dataclasses.replace(b.model)), copy.deepcopy(cfg))
 
+
+def stepped_or_code(b, cfg):
+    try:
+        return step(b, cfg)
+    except TmError as err:
+        return err.code
+
+
+def _change(cfg):
+    """Drop every pending instance and live token of `cfg`, and flip
+    every flag."""
+    cfg.pending.clear()
+    for tok in cfg.tokens.values():
+        tok.thimac = tok.stage = None
+    for fid in cfg.flags:
+        cfg.flags[fid] = not cfg.flags[fid]
+
+
+COPIERS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda cfg: pickle.loads(pickle.dumps(cfg)),
+           "replace": dataclasses.replace}
+
+
+@pytest.mark.parametrize("copier", sorted(COPIERS))
+def test_a_changed_copy_of_a_stepped_configuration_is_keyed_anew(
+        monkeypatch, copier):
+    # a configuration step built from a recorded tick carries its key;
+    # a copy of it must not, since the copy may change
+    differs = 0
+    for b in fenced_inputs()[::5]:
+        for pre, nxt, _entry in stepped(b, lambda tick: False):
+            changed = COPIERS[copier](step(b, pre)[0])
+            _change(changed)
+            got = stepped_or_code(b, changed)
+            assert got == table_free_step(monkeypatch, b, changed)
+            differs += got != stepped_or_code(b, nxt)
+    assert differs > 100
+
+
+def test_a_look_up_is_handed_only_to_its_own_configuration(monkeypatch):
     rng = random.Random(1)
     for b in fenced_inputs()[::10]:
         # bundles sharing the program: the same schedule as another
@@ -350,14 +393,8 @@ def test_a_look_up_is_handed_only_to_its_own_configuration(monkeypatch):
             for stepper, cfg in ((b, copy.copy(pre)), (twins[0], pre),
                                  (twins[1], pre)):
                 enabled_events(b, pre)
-                try:
-                    expected = cold_step(stepper, cfg)
-                except TmError as err:
-                    with pytest.raises(TmError) as again:
-                        step(stepper, cfg)
-                    assert again.value.code == err.code
-                    continue
-                assert step(stepper, cfg) == expected
+                assert stepped_or_code(stepper, cfg) == table_free_step(
+                    monkeypatch, stepper, cfg)
 
 
 def test_a_projection_is_every_component_on_its_own():
