@@ -15,7 +15,6 @@ from .model import (
     E_SYNTAX,
     ModelBundle,
     TmError,
-    guard_text,
 )
 
 LAYERS = ("static", "events", "behavior")
@@ -40,12 +39,13 @@ def _name(bundle: ModelBundle) -> str:
 
 
 def _trigger_label(trigger) -> str:
+    """The effect and guard texts of the trigger's `sort_key`."""
+    _src, _dst, effect, guard = trigger.sort_key
     parts = []
-    if trigger.effect is not None:
-        parts.append(trigger.effect.value)
-    text = guard_text(trigger.guard)
-    if text:
-        parts.append(f"when {text}")
+    if effect:
+        parts.append(effect)
+    if guard:
+        parts.append(f"when {guard}")
     return " ".join(parts)
 
 

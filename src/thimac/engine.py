@@ -1,7 +1,9 @@
 """Tick-based execution of thing-machine bundles.
 
-A configuration records completed ticks, store values, token positions,
-and the pending event instances for the next tick.  Each step:
+A configuration records completed ticks, store values, where each token
+rests (keyed by label, oldest first: a token's age is its position, by
+tick and then schedule order) and the pending event instances for the
+next tick.  Each step:
 
 1. applies the injections scheduled for the new tick (a token lands at
    the target's receive action when it has one, else at release) and
@@ -135,12 +137,11 @@ class TimerState:
 
 @dataclass(slots=True)
 class Token:
-    """A labeled token and where it rests; thimac None once exited."""
+    """Where a token rests (thimac None once exited) and its arrival tick;
+    its label is its key in `Configuration.tokens`, its age its position."""
 
-    label: str
     thimac: Optional[str]
     stage: Optional[ActionKind]
-    seq: int
     injected_at: int
 
     @property
@@ -148,8 +149,7 @@ class Token:
         return self.thimac is not None
 
     def copy(self) -> "Token":
-        return Token(self.label, self.thimac, self.stage, self.seq,
-                     self.injected_at)
+        return Token(self.thimac, self.stage, self.injected_at)
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,11 +212,11 @@ def _holds(checks, stores: Configuration) -> bool:
 
 
 def _placements(tokens) -> dict:
-    """Thimac -> label -> (stage, seq) for the tokens still in the machine."""
+    """Thimac -> label -> stage for live (label, token) pairs, oldest first."""
     places = defaultdict(dict)
-    for tok in tokens:
+    for label, tok in tokens:
         if tok.thimac is not None:
-            places[tok.thimac][tok.label] = (tok.stage, tok.seq)
+            places[tok.thimac][label] = tok.stage
     return places
 
 
@@ -239,15 +239,15 @@ def _pick(here: dict, deepest: bool, subject=None, bound=()):
     """The label to bind among the placements `here`: the carried
     `subject` if it rests here (None if it has left), else the one not
     in `bound` deepest in stage for flow sources, shallowest for
-    progression, ties going to the oldest injection."""
+    progression, ties going to the oldest token, the first in `here`."""
     if subject is not None:
         return subject if subject in here else None
     best = None
-    for label, (stage, seq) in here.items():
+    for label, stage in here.items():
         if label not in bound:
-            key = (-STAGE_DEPTH[stage] if deepest else STAGE_DEPTH[stage], seq)
-            if best is None or key < best_key:
-                best, best_key = label, key
+            depth = -STAGE_DEPTH[stage] if deepest else STAGE_DEPTH[stage]
+            if best is None or depth < best_depth:
+                best, best_depth = label, depth
     return best
 
 
@@ -284,12 +284,12 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
     chosen = _pick(here, False, subj)
     if chosen is None:
         return None
-    stage = here[chosen][0]
+    stage = here[chosen]
     if STAGE_DEPTH[stage] > STAGE_DEPTH[target]:
         return None
     enters = stage is not target and target is _PROCESS
     if enters:
-        for label, (s, _) in here.items():
+        for label, s in here.items():
             if s is _PROCESS and label != chosen:
                 return None
     writes = info.writes | {("token", chosen)}
@@ -361,15 +361,14 @@ def _inject(prog: Program, arrivals, config: Configuration):
         stage = prog.landing.get(tid)
         if stage is None:
             raise TmError(*injection_problem(prog.thimacs.get(tid), tid))
-        new[label] = Token(label, tid, stage, len(config.tokens) + len(new),
-                           config.tick + 1)
+        new[label] = Token(tid, stage, config.tick + 1)
     return new
 
 
-def _open_tick(prog: Program, config: Configuration, new):
+def _open_tick(prog: Program, config: Configuration, new, labels: list):
     """Resolve the pending instances of the tick after `config`, with
     the events the injected tokens `new` pend, by priority, then subject
-    (none first, then the older token, then a subject with no token),
+    (none first, then by rank in `labels`, then one with no live token),
     against the start of that tick, without changing `config`: the
     stores of `config` (injection moves no store) and the placements
     after the injection.  Returns (event, pended subject, binding or
@@ -379,11 +378,10 @@ def _open_tick(prog: Program, config: Configuration, new):
         order = dict.fromkeys(chain(order, [
             (eid, None) for tok in new.values()
             for eid in prog.injection_events.get(tok.thimac, ())]))
-    tokens = config.tokens
+    rank = {label: i for i, label in enumerate([None, *labels])}
     order = sorted(order, key=lambda entry: (
-        prog.priority[entry[0]], entry[1] is not None,
-        tokens[entry[1]].seq if entry[1] in tokens else len(tokens)))
-    places = _placements(chain(tokens.values(), new.values()))
+        prog.priority[entry[0]], rank.get(entry[1], len(rank))))
+    places = _placements(chain(config.tokens.items(), new.items()))
     return [(eid, subj, _resolve(prog, eid, subj, config, places))
             for eid, subj in order]
 
@@ -417,7 +415,7 @@ def _fire(prog: Program, bundle: ModelBundle, config: Configuration, new,
             if eid in cofired:
                 continue
             cofired.add(eid)
-            places = _placements(cfg.tokens.values())
+            places = _placements(cfg.tokens.items())
             binding = _resolve(prog, eid, subj, cfg, places)
             if binding is None and subj is not None:
                 binding = _resolve(prog, eid, None, cfg, places)
@@ -500,9 +498,9 @@ def _rank(config: Configuration):
     were pended, and each store table as its size, its ids and its
     values."""
     labels, places = [], []
-    for tok in config.tokens.values():
+    for label, tok in config.tokens.items():
         if tok.thimac is not None:
-            labels.append(tok.label)
+            labels.append(label)
             places += (tok.thimac, tok.stage)
     counters, flags, timers = config.counters, config.flags, config.timers
     return (tuple(places), _ranked(config.pending, labels),
@@ -591,7 +589,7 @@ def step(bundle: ModelBundle, config: Configuration):
     if entry is not None:
         return _replay(config, labels, new, entry)
     prog = compile(bundle)
-    opening = _open_tick(prog, config, new)
+    opening = _open_tick(prog, config, new, labels)
     cfg, trace_entry = _fire(prog, bundle, config, new, opening)
     _record(prog, key, labels, opening, cfg, trace_entry.fired)
     return cfg, trace_entry
@@ -629,8 +627,8 @@ def enabled_events(bundle: ModelBundle, config: Configuration):
     _key, labels, new, entry = _look_up(bundle, config)
     if entry is not None:
         return _labelled(entry[0], labels)
-    return [(eid, b.subject) for eid, _subj, b
-            in _open_tick(compile(bundle), config, new) if b is not None]
+    opening = _open_tick(compile(bundle), config, new, labels)
+    return [(eid, b.subject) for eid, _subj, b in opening if b is not None]
 
 
 # ---------------------------------------------------------------------------

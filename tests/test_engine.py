@@ -200,9 +200,9 @@ def test_golden_run_quiesces():
     # three tokens make it through; the last two park at the first
     # machine once nothing re-pends the pickup event
     alive = [t for t in cfg.tokens.values() if t.alive]
-    exited = [t for t in cfg.tokens.values() if not t.alive]
+    exited = [label for label, t in cfg.tokens.items() if not t.alive]
     assert len(alive) + len(exited) == 5
-    assert sorted(t.label for t in exited) == ["S1", "S2", "S3"]
+    assert sorted(exited) == ["S1", "S2", "S3"]
     assert all(t.thimac == "M1" for t in alive)
 
 
@@ -979,11 +979,10 @@ def test_a_handed_off_look_up_follows_the_initial_overrides():
 
 
 def _in_m(*tokens, pending=("t1",)):
-    """Tick 1 of `line_bundle` done, with (label, stage) tokens in M in
-    injection order and work pended for the `pending` labels."""
+    """Tick 1 of `line_bundle` done, with (label, stage) tokens in M,
+    oldest first, and work pended for the `pending` labels."""
     return Configuration(1, {"c": 2}, {}, {}, {
-        label: Token(label, "M", stage, seq, 1)
-        for seq, (label, stage) in enumerate(tokens)},
+        label: Token("M", stage, 1) for label, stage in tokens},
         dict.fromkeys(("work", label) for label in pending))
 
 
@@ -1027,6 +1026,22 @@ def test_a_recorded_tick_is_not_replayed_for_another(what, first):
         assert step(warm, configs[i]) == expected[i]
 
 
+def test_a_token_listed_first_is_older_on_a_warm_program_and_a_cold_one():
+    # a token's age is its position in the tokens table: listed first, b
+    # is the older token and takes the slot whether the tick is opened
+    # or replayed from the tick of the listing that puts a first
+    b = line_bundle()
+    listed = _in_m(("a", RECEIVE), ("b", RECEIVE), pending=("a", "b"))
+    swapped = dataclasses.replace(
+        listed, tokens=dict(reversed(listed.tokens.items())),
+        pending=dict.fromkeys(reversed(listed.pending)))
+    expected = step(cold(b), swapped)
+    assert fired_list(expected[1]) == [("work", "b")]
+    warm = cold(b)
+    assert fired_list(step(warm, listed)[1]) == [("work", "a")]
+    assert step(warm, swapped) == expected
+
+
 def test_enabled_events_reads_the_table_but_never_records(monkeypatch):
     b = line_bundle()
     prog = model.compile(b)
@@ -1058,7 +1073,7 @@ def _vandalise(cfg):
     cfg.pending["ghost", None] = None
     for tok in cfg.tokens.values():
         tok.thimac, tok.stage = "ghost", ActionKind.PROCESS
-    cfg.tokens["ghost"] = Token("ghost", "ghost", ActionKind.RECEIVE, 0, 0)
+    cfg.tokens["ghost"] = Token("ghost", ActionKind.RECEIVE, 0)
 
 
 @pytest.mark.parametrize("fixture", ["assembly_line.tm", "door.tm",

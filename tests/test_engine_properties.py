@@ -94,8 +94,8 @@ def run_digest(bundle) -> str:
              sorted((tid, ts.remaining, ts.expired)
                     for tid, ts in cfg.timers.items()),
              sorted((label, tok.thimac, tok.stage and tok.stage.value,
-                     tok.seq, tok.injected_at)
-                    for label, tok in cfg.tokens.items()),
+                     age, tok.injected_at)
+                    for age, (label, tok) in enumerate(cfg.tokens.items())),
              sorted(cfg.pending, key=lambda p: (p[0], p[1] or "")), error]
     text = format_trace_records(trace) + json.dumps(state)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -305,6 +305,21 @@ def test_a_chained_look_up_equals_a_full_one(monkeypatch):
                 chained += look[0] is not None and not ranked
                 assert look == engine._look_up(b, copy.copy(cfg))
     assert chained > 500
+
+
+def test_a_stepped_configuration_lists_its_tokens_in_injection_order():
+    # a token's age is its position: tick by tick, then in schedule
+    # order, in opened ticks and in replayed ones
+    for b in fenced_inputs():
+        by_tick = sorted(b.schedule, key=lambda inj: inj.tick)
+
+        def watch(_pre, cfg, _entry):
+            assert list(cfg.tokens) == [inj.label for inj in by_tick
+                                        if inj.tick <= cfg.tick]
+
+        # the first run records the ticks the second replays
+        for _ in range(2):
+            trace_of(b, watch)
 
 
 def stepped(b, peek):
