@@ -205,7 +205,7 @@ def reachable_configs(bundle: ModelBundle, projection, max_ticks=None,
         schedules = (bundle.schedule,)
     seen = set()
     for sched in schedules:
-        b = dataclasses.replace(bundle, schedule=tuple(sched))
+        b = dataclasses.replace(bundle, schedule=sched)
         cfg = init(b)
         seen.add(project_config(b, projection, cfg))
         while not quiescent(b, cfg):

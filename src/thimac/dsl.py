@@ -466,13 +466,12 @@ class _Parser:
                                            _unescape(label.text)))
 
     def build(self) -> ModelBundle:
-        model = StaticModel(tuple(self.thimacs), tuple(self.flows),
-                            tuple(self.triggers), self.name)
-        priority = tuple(self.priority)
+        model = StaticModel(self.thimacs, self.flows, self.triggers, self.name)
+        priority = self.priority
         if not self.saw_priority:
-            priority = tuple(e.id for e in self.events)
-        return ModelBundle(model, tuple(self.events), tuple(self.behavior),
-                           priority, self.initial, tuple(self.schedule))
+            priority = [e.id for e in self.events]
+        return ModelBundle(model, self.events, self.behavior, priority,
+                           self.initial, self.schedule)
 
 
 def parse(text: str, file: str = "<input>") -> ParseResult:

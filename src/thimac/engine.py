@@ -1,9 +1,10 @@
 """Tick-based execution of thing-machine bundles.
 
-A configuration records completed ticks, store values, where each token
-rests (keyed by label, oldest first: a token's age is its position, by
-tick and then schedule order) and the pending event instances for the
-next tick.  Each step:
+A configuration holds run state only: completed ticks, store values,
+where each token rests (keyed by label, oldest first: a token's age is
+its position, by tick and then schedule order) and the pending event
+instances for the next tick.  A token's arrival tick and a timer's
+duration are the bundle's.  Each step:
 
 1. applies the injections scheduled for the new tick (a token lands at
    the target's receive action when it has one, else at release) and
@@ -53,7 +54,7 @@ look the coming tick up in once its arrivals are injected.  The key
 replaces each token label by the token's rank, the live tokens in
 injection order and then the tick's arrivals.  It holds the state key
 of the configuration, the arrival thimacs and the bundle's initial
-overrides, which a counter reset reads; the state key holds the live
+overrides, which resets and starts read; the state key holds the live
 tokens' places, the pending instances in the order they were pended,
 with subjects as ranks (a subject with no live token can only lapse,
 so all such share one mark), and the store values.  A rank may stand
@@ -96,6 +97,7 @@ from .model import (
     E_COUNTER_RANGE,
     E_DUP_ID,
     E_SYNTAX,
+    E_UNRESOLVED_REF,
     Effect,
     EventInfo,
     ModelBundle,
@@ -122,11 +124,10 @@ _SUBJECTLESS, _FLOW = SubjectMode.SUBJECTLESS, SubjectMode.FLOW
 _PROCESS = ActionKind.PROCESS
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class TimerState:
-    """One timer: counting down, expired, or idle."""
+    """What is left of one timer: counting down, expired, or idle."""
 
-    duration: int
     remaining: Optional[int] = None
     expired: bool = False
 
@@ -137,19 +138,18 @@ class TimerState:
 
 @dataclass(slots=True)
 class Token:
-    """Where a token rests (thimac None once exited) and its arrival tick;
-    its label is its key in `Configuration.tokens`, its age its position."""
+    """Where a token rests (thimac None once exited); its label is its
+    key in `Configuration.tokens`, its age its position."""
 
     thimac: Optional[str]
     stage: Optional[ActionKind]
-    injected_at: int
 
     @property
     def alive(self) -> bool:
         return self.thimac is not None
 
     def copy(self) -> "Token":
-        return Token(self.thimac, self.stage, self.injected_at)
+        return Token(self.thimac, self.stage)
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,13 +316,13 @@ def _apply_triggers(prog: Program, info: EventInfo, cfg: Configuration,
             cfg.flags[target] = True
         elif effect is _CLEAR:
             cfg.flags[target] = False
-        elif effect is _RESET and kind is _COUNTER:
-            decl = prog.thimacs[target]
-            cfg.counters[target] = int(initial.get(target, decl.init))
         else:
-            # reset and start both rewind a timer to its full duration
-            duration = cfg.timers[target].duration
-            cfg.timers[target] = TimerState(duration, duration)
+            # reset and start rewind a store to its start
+            start = initial.get(target, prog.thimacs[target].start)
+            if kind is _COUNTER:
+                cfg.counters[target] = start
+            else:
+                cfg.timers[target] = TimerState(remaining=start)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +343,9 @@ def init(bundle: ModelBundle) -> Configuration:
         if problem is not None:
             raise TmError(*problem)
         stores[tmap[tid].kind][tid] = value
-    timers = {tid: TimerState(d) for tid, d in stores[ThimacKind.TIMER].items()}
     return Configuration(0, stores[ThimacKind.COUNTER], stores[ThimacKind.FLAG],
-                         timers, {}, {})
+                         dict.fromkeys(stores[ThimacKind.TIMER], TimerState()),
+                         {}, {})
 
 
 def _inject(prog: Program, arrivals, config: Configuration):
@@ -361,7 +361,7 @@ def _inject(prog: Program, arrivals, config: Configuration):
         stage = prog.landing.get(tid)
         if stage is None:
             raise TmError(*injection_problem(prog.thimacs.get(tid), tid))
-        new[label] = Token(tid, stage, config.tick + 1)
+        new[label] = Token(tid, stage)
     return new
 
 
@@ -458,10 +458,10 @@ def _fire(prog: Program, bundle: ModelBundle, config: Configuration, new,
         if ts.remaining is None:
             continue
         if ts.remaining > 1:
-            cfg.timers[tid] = TimerState(ts.duration, ts.remaining - 1,
-                                         ts.expired)
+            cfg.timers[tid] = TimerState(remaining=ts.remaining - 1,
+                                         expired=ts.expired)
             continue
-        cfg.timers[tid] = TimerState(ts.duration, None, True)
+        cfg.timers[tid] = TimerState(expired=True)
         for eid in prog.expiry_events.get(tid, ()):
             cfg.pending[eid, None] = None
 
@@ -637,10 +637,15 @@ def enabled_events(bundle: ModelBundle, config: Configuration):
 
 
 def filter_displayed(bundle: ModelBundle, trace):
-    """Drop bookkeeping instances, keeping events marked displayed."""
+    """Drop bookkeeping instances, keeping events marked displayed.
+    Raises TmError (E_UNRESOLVED_REF) for an event the bundle lacks."""
     emap = bundle.event_map()
     out = []
     for entry in trace:
+        for f in entry.fired:
+            if f.event not in emap:
+                raise TmError(E_UNRESOLVED_REF,
+                              f"trace names unknown event {f.event!r}")
         kept = tuple(f for f in entry.fired
                      if not f.bookkeeping or emap[f.event].displayed)
         out.append(TraceEntry(entry.tick, kept))

@@ -343,9 +343,9 @@ def fsm_to_tm(spec: FsmSpec) -> ModelBundle:
 
     bundle = ModelBundle(
         model=canonical_model(thimacs, flows, triggers, spec.name),
-        events=tuple(events),
-        behavior=tuple(behavior),
-        priority=tuple(e.id for e in events),
+        events=events,
+        behavior=behavior,
+        priority=[e.id for e in events],
         initial={},
         schedule=(Injection(1, state_id[spec.initial], spec.name),),
     )

@@ -240,8 +240,9 @@ _SHARED_INFOS = weakref.WeakValueDictionary()
 
 @dataclass(frozen=True)
 class StaticModel:
-    """The wiring layer: thimacs plus flow and trigger edges.  Frozen, so
-    the tables and event analyses cached on it never go stale.  Equal
+    """The wiring layer: thimacs plus flow and trigger edges.  Frozen,
+    with tuple copies of the sequences it is given, so the tables and
+    event analyses cached on it never go stale.  Equal
     models share one table of event analyses, so a model and its
     reparse analyse each event once between them."""
 
@@ -249,6 +250,10 @@ class StaticModel:
     flows: tuple = ()
     triggers: tuple = ()
     name: str = ""
+
+    def __post_init__(self):
+        for attr in ("thimacs", "flows", "triggers"):
+            object.__setattr__(self, attr, tuple(getattr(self, attr)))
 
     def thimac_map(self):
         """Read-only view from id to thimac."""
@@ -311,6 +316,9 @@ class Event:
     bookkeeping: bool = False
     displayed: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "region", frozenset(self.region))
+
 
 @dataclass(frozen=True)
 class Injection:
@@ -327,7 +335,9 @@ class ModelBundle:
 
     `initial` holds optional per-store overrides of declared initial
     values (counter value, flag value, or timer duration), applied when
-    a run is initialized.  Bundles are frozen: derive a variant with
+    a run is initialized and read again by every counter reset and
+    timer reset or start.  Bundles are frozen and keep tuple copies of
+    the sequences they are given: derive a variant with
     `dataclasses.replace(bundle, schedule=...)`, which shares the
     original's compiled program.
     """
@@ -338,6 +348,10 @@ class ModelBundle:
     priority: tuple = ()
     initial: dict = field(default_factory=dict)
     schedule: tuple = ()
+
+    def __post_init__(self):
+        for attr in ("events", "behavior", "priority", "schedule"):
+            object.__setattr__(self, attr, tuple(getattr(self, attr)))
 
     def event_map(self) -> dict:
         return {e.id: e for e in self.events}
@@ -986,9 +1000,9 @@ _id_key = attrgetter("id")
 def canonical_model(thimacs, flows, triggers, name: str) -> StaticModel:
     """The static model with thimacs ordered by id and edges by their
     `sort_key`, the order of canonical form."""
-    return StaticModel(tuple(sorted(thimacs, key=_id_key)),
-                       tuple(sorted(flows, key=edge_key)),
-                       tuple(sorted(triggers, key=edge_key)), name)
+    return StaticModel(sorted(thimacs, key=_id_key),
+                       sorted(flows, key=edge_key),
+                       sorted(triggers, key=edge_key), name)
 
 
 def canonicalize(bundle: ModelBundle) -> ModelBundle:
@@ -998,10 +1012,10 @@ def canonicalize(bundle: ModelBundle) -> ModelBundle:
     return ModelBundle(
         model=canonical_model(m.thimacs, m.flows, m.triggers,
                               m.name or "unnamed"),
-        events=tuple(sorted(bundle.events, key=_id_key)),
-        behavior=tuple(sorted(bundle.behavior)),
+        events=sorted(bundle.events, key=_id_key),
+        behavior=sorted(bundle.behavior),
         priority=bundle.priority_order(),
         initial=dict(sorted(bundle.initial.items())),
-        schedule=tuple(sorted(bundle.schedule,
-                              key=lambda i: (i.tick, i.thimac, i.label))),
+        schedule=sorted(bundle.schedule,
+                        key=lambda i: (i.tick, i.thimac, i.label)),
     )

@@ -670,8 +670,38 @@ def test_active_timer_blocks_quiescence():
 
 
 def test_timer_duration_override():
-    cfg = init(timer_bundle(initial={"tm": 7}))
-    assert cfg.timers["tm"].duration == 7
+    trace = run(timer_bundle(duration=2, initial={"tm": 7}))[1]
+    assert trace == run(timer_bundle(duration=7))[1]
+    assert fired_list(trace[-1]) == [("warn", None)] and trace[-1].tick == 8
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_bundles_sharing_a_program_start_timers_at_their_own_duration(first):
+    # a start rewinds the timer to the stepped bundle's duration, as a
+    # counter reset does to its initial value; the configuration holds
+    # no duration of its own
+    base = timer_bundle(duration=2)
+    bundles = [base, dataclasses.replace(base, initial={"tm": 7})]
+    assert model.compile(bundles[0]) is model.compile(bundles[1])
+    expected = [run(cold(b))[1] for b in bundles]
+    assert [trace[-1].tick for trace in expected] == [3, 8]
+    start = init(bundles[0])
+    for i in (first, 1 - first):
+        cfg, trace = start, []
+        while not quiescent(bundles[i], cfg):
+            cfg, entry = step(bundles[i], cfg)
+            trace.append(entry)
+        assert trace == expected[i]
+    assert init(bundles[1]) == start
+
+
+def test_run_records_hold_only_run_state():
+    assert [f.name for f in dataclasses.fields(Token)] == ["thimac", "stage"]
+    assert [f.name for f in dataclasses.fields(engine.TimerState)] == [
+        "remaining", "expired"]
+    # a positional count would once have been read as a duration
+    with pytest.raises(TypeError):
+        engine.TimerState(6000)
 
 
 def test_configurations_and_timers_are_frozen():
@@ -873,6 +903,16 @@ def test_filter_displayed_keeps_marked_events():
     assert [f.event for f in kept[0].fired] == ["b"]
 
 
+@pytest.mark.parametrize("bookkeeping", [True, False])
+def test_filter_displayed_rejects_an_unknown_event(bookkeeping):
+    b = bundle(thimacs=[machine("M")])
+    trace = [TraceEntry(1, (FiredEvent("nope", None, bookkeeping),))]
+    with pytest.raises(TmError) as err:
+        filter_displayed(b, trace)
+    assert err.value.code == E_UNRESOLVED_REF
+    assert err.value.message == "trace names unknown event 'nope'"
+
+
 def test_run_is_deterministic():
     first = format_trace_records(run(assembly())[1])
     second = format_trace_records(run(assembly())[1])
@@ -982,7 +1022,7 @@ def _in_m(*tokens, pending=("t1",)):
     """Tick 1 of `line_bundle` done, with (label, stage) tokens in M,
     oldest first, and work pended for the `pending` labels."""
     return Configuration(1, {"c": 2}, {}, {}, {
-        label: Token("M", stage, 1) for label, stage in tokens},
+        label: Token("M", stage) for label, stage in tokens},
         dict.fromkeys(("work", label) for label in pending))
 
 
@@ -1068,12 +1108,12 @@ def _vandalise(cfg):
     for sid in cfg.flags:
         cfg.flags[sid] = not cfg.flags[sid]
     for sid in cfg.timers:
-        cfg.timers[sid] = engine.TimerState(99, 98)
+        cfg.timers[sid] = engine.TimerState(remaining=98)
     cfg.pending.clear()
     cfg.pending["ghost", None] = None
     for tok in cfg.tokens.values():
         tok.thimac, tok.stage = "ghost", ActionKind.PROCESS
-    cfg.tokens["ghost"] = Token("ghost", ActionKind.RECEIVE, 0)
+    cfg.tokens["ghost"] = Token("ghost", ActionKind.RECEIVE)
 
 
 @pytest.mark.parametrize("fixture", ["assembly_line.tm", "door.tm",
@@ -1182,7 +1222,7 @@ def test_a_subject_without_a_token_is_never_recorded():
     b = countdown_bundle()
     for label in ("x", "y"):
         cfg = Configuration(1, {}, {"f": False},
-                            {"tm": engine.TimerState(6000)}, {},
+                            {"tm": engine.TimerState()}, {},
                             {("again", label): None})
         assert fired_list(step(b, cfg)[1]) == [("again", label)]
     assert model.compile(b).ticks == {}

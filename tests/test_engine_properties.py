@@ -83,18 +83,22 @@ def fired(trace, rename=lambda label: label):
 
 
 def resting(cfg, rename=lambda label: label):
-    return {rename(label): (tok.thimac, tok.stage, tok.injected_at)
+    return {rename(label): (tok.thimac, tok.stage)
             for label, tok in cfg.tokens.items()}
 
 
 def run_digest(bundle) -> str:
-    """Digest of a run's trace records, end state and error code."""
+    """Digest of a run's trace records, end state and error code; each
+    token's arrival tick is its label's earliest tick in the schedule."""
     trace, cfg, error = trace_of(bundle)
+    arrival = {}
+    for inj in bundle.schedule:
+        arrival[inj.label] = min(inj.tick, arrival.get(inj.label, inj.tick))
     state = [cfg.tick, sorted(cfg.counters.items()), sorted(cfg.flags.items()),
              sorted((tid, ts.remaining, ts.expired)
                     for tid, ts in cfg.timers.items()),
              sorted((label, tok.thimac, tok.stage and tok.stage.value,
-                     age, tok.injected_at)
+                     age, arrival[label])
                     for age, (label, tok) in enumerate(cfg.tokens.items())),
              sorted(cfg.pending, key=lambda p: (p[0], p[1] or "")), error]
     text = format_trace_records(trace) + json.dumps(state)

@@ -494,6 +494,35 @@ def test_a_model_built_with_lists_still_validates_and_runs():
     assert run(listed, max_ticks=8) == run(b, max_ticks=8)
 
 
+MODEL_SEQUENCES = ["thimacs", "flows", "triggers"]
+BUNDLE_SEQUENCES = ["events", "behavior", "priority", "schedule"]
+
+
+@pytest.mark.parametrize("name", MODEL_SEQUENCES + BUNDLE_SEQUENCES)
+def test_a_list_changed_after_building_changes_nothing(name):
+    parsed = parse_file(FIXTURES / "assembly_line.tm").bundle
+    expected = run(parsed)
+    owner = parsed.model if name in MODEL_SEQUENCES else parsed
+    items = list(getattr(owner, name))
+    built = replace(owner, **{name: items})
+    b = replace(parsed, model=built) if owner is parsed.model else built
+    assert run(b) == expected
+    items.clear()
+    assert getattr(built, name) == getattr(owner, name)
+    # a fresh bundle reads the fields anew but shares the cached program
+    assert run(replace(b)) == expected
+
+
+def test_an_event_region_given_as_a_set_validates_and_runs():
+    parsed = parse_file(FIXTURES / "door.tm").bundle
+    first, *rest = parsed.events
+    b = replace(parsed, events=(replace(first, region=set(first.region)),
+                                *rest))
+    assert validate_model(b) == validate_model(parsed)
+    assert run(b) == run(parsed)
+    assert type(b.events[0].region) is frozenset
+
+
 def test_priority_order_appends_unlisted():
     b = replace(clean_bundle(), priority=("work",))
     assert b.priority_order() == ("work", "arrive", "leave")
