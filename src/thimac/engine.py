@@ -106,8 +106,6 @@ from .model import (
     ThimacKind,
     TmError,
     compile,
-    initial_problem,
-    injection_problem,
 )
 
 # A program's tick table stops recording once it holds this many places
@@ -303,8 +301,7 @@ def _resolve(prog: Program, eid: str, subj, stores: Configuration,
 # ---------------------------------------------------------------------------
 
 
-def _apply_triggers(prog: Program, info: EventInfo, cfg: Configuration,
-                    initial: dict):
+def _apply_triggers(info: EventInfo, cfg: Configuration, starts):
     for checks, target, effect, kind in info.steps:
         if not _holds(checks, cfg):
             continue
@@ -318,7 +315,7 @@ def _apply_triggers(prog: Program, info: EventInfo, cfg: Configuration,
             cfg.flags[target] = False
         else:
             # reset and start rewind a store to its start
-            start = initial.get(target, prog.thimacs[target].start)
+            start = starts[target]
             if kind is _COUNTER:
                 cfg.counters[target] = start
             else:
@@ -331,17 +328,13 @@ def _apply_triggers(prog: Program, info: EventInfo, cfg: Configuration,
 
 
 def init(bundle: ModelBundle) -> Configuration:
-    """Fresh configuration at tick 0: declared store values with the
-    bundle's initial overrides applied, no tokens, nothing pending.
-    Raises TmError when a starting value is unusable."""
-    values = {t.id: t.start for t in bundle.model.thimacs if t.is_store}
-    values.update(bundle.initial)
-    tmap = bundle.model._by_id
+    """Fresh configuration at tick 0: each store at its value in
+    `bundle.starts`, no tokens, nothing pending.  Raises TmError with
+    `validate_model`'s first error in the bundle's program or initial
+    overrides; the schedule is checked once a run reads it."""
+    tmap = compile(bundle).thimacs
     stores = {kind: {} for kind in STORE_KINDS}
-    for tid, value in values.items():
-        problem = initial_problem(tmap.get(tid), tid, value)
-        if problem is not None:
-            raise TmError(*problem)
+    for tid, value in bundle.starts.items():
         stores[tmap[tid].kind][tid] = value
     return Configuration(0, stores[ThimacKind.COUNTER], stores[ThimacKind.FLAG],
                          dict.fromkeys(stores[ThimacKind.TIMER], TimerState()),
@@ -351,17 +344,13 @@ def init(bundle: ModelBundle) -> Configuration:
 def _inject(prog: Program, arrivals, config: Configuration):
     """Label -> token for the injections `arrivals` of the tick after
     `config`, each at the stage its thimac lands tokens at.  Raises
-    E_DUP_ID for a label already taken and E_UNRESOLVED_REF for a
-    thimac that takes no injection."""
+    E_DUP_ID for a label that a token of `config`, say one of another
+    bundle, has."""
     new = {}
     for inj in arrivals:
-        label, tid = inj.label, inj.thimac
-        if label in config.tokens or label in new:
-            raise TmError(E_DUP_ID, f"token label {label!r} injected twice")
-        stage = prog.landing.get(tid)
-        if stage is None:
-            raise TmError(*injection_problem(prog.thimacs.get(tid), tid))
-        new[label] = Token(tid, stage)
+        if inj.label in config.tokens:
+            raise TmError(E_DUP_ID, f"token label {inj.label!r} injected twice")
+        new[inj.label] = Token(inj.thimac, prog.landing[inj.thimac])
     return new
 
 
@@ -395,11 +384,10 @@ def _next(config: Configuration, new, counters, flags, timers):
     return Configuration(config.tick + 1, counters, flags, timers, tokens, {})
 
 
-def _fire(prog: Program, bundle: ModelBundle, config: Configuration, new,
-          opening):
+def _fire(prog: Program, starts, config: Configuration, new, opening):
     """Fire the opened tick after `config` into the next configuration,
-    built once from fresh store tables and token copies; returns it
-    with the trace entry."""
+    built once from fresh store tables and token copies, with resets and
+    starts rewinding to `starts`; returns it with the trace entry."""
     cfg = _next(config, new, dict(config.counters), dict(config.flags),
                 dict(config.timers))
     fired, written, cofired = [], set(), set()
@@ -428,7 +416,7 @@ def _fire(prog: Program, bundle: ModelBundle, config: Configuration, new,
             tok = cfg.tokens[label]
             tok.thimac = thimac
             tok.stage = stage
-        _apply_triggers(prog, binding.info, cfg, bundle.initial)
+        _apply_triggers(binding.info, cfg, starts)
         fired.append(FiredEvent(eid, binding.subject,
                                 binding.info.event.bookkeeping))
         written |= binding.write_set
@@ -590,7 +578,7 @@ def step(bundle: ModelBundle, config: Configuration):
         return _replay(config, labels, new, entry)
     prog = compile(bundle)
     opening = _open_tick(prog, config, new, labels)
-    cfg, trace_entry = _fire(prog, bundle, config, new, opening)
+    cfg, trace_entry = _fire(prog, bundle.starts, config, new, opening)
     _record(prog, key, labels, opening, cfg, trace_entry.fired)
     return cfg, trace_entry
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import operator
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
-from typing import NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 
 class ActionKind(Enum):
@@ -334,24 +334,25 @@ class ModelBundle:
     """A complete model: wiring, events, chronology, priority, schedule.
 
     `initial` holds optional per-store overrides of declared initial
-    values (counter value, flag value, or timer duration), applied when
-    a run is initialized and read again by every counter reset and
-    timer reset or start.  Bundles are frozen and keep tuple copies of
-    the sequences they are given: derive a variant with
+    values (counter value, flag value, or timer duration); `starts`
+    applies them.  Bundles are frozen, with tuple copies of the given
+    sequences and a read-only copy of `initial`: derive a variant with
     `dataclasses.replace(bundle, schedule=...)`, which shares the
-    original's compiled program.
+    original's compiled program.  The engine raises `validate_model`'s
+    first error for a bundle it rejects.
     """
 
     model: StaticModel
     events: tuple = ()
     behavior: tuple = ()
     priority: tuple = ()
-    initial: dict = field(default_factory=dict)
+    initial: Mapping = field(default_factory=dict)
     schedule: tuple = ()
 
     def __post_init__(self):
         for attr in ("events", "behavior", "priority", "schedule"):
             object.__setattr__(self, attr, tuple(getattr(self, attr)))
+        object.__setattr__(self, "initial", MappingProxyType(dict(self.initial)))
 
     def event_map(self) -> dict:
         return {e.id: e for e in self.events}
@@ -375,10 +376,26 @@ class ModelBundle:
         return program
 
     @cached_property
+    def starts(self) -> Mapping:
+        """Store id -> its start for `init`, resets and timer starts (the
+        override, else the declared one); raises TmError for overrides
+        `validate_model` rejects."""
+        tmap = self._program.thimacs
+        if any(initial_problem(tmap.get(tid), tid, value)
+               for tid, value in self.initial.items()):
+            _raise_first_error(replace(self, schedule=()))
+        return MappingProxyType({tid: self.initial.get(tid, t.start)
+                                 for tid, t in tmap.items() if t.is_store})
+
+    @cached_property
     def arrivals(self) -> dict:
-        """Tick -> the injections scheduled for it, in schedule order."""
-        table: dict = {}
+        """Tick -> the injections scheduled for it, in schedule order;
+        raises TmError for a schedule `validate_model` rejects."""
+        landing, labels, table = self._program.landing, set(), {}
         for inj in self.schedule:
+            if inj.label in labels or inj.thimac not in landing or inj.tick < 1:
+                _raise_first_error(replace(self, initial={}))
+            labels.add(inj.label)
             table.setdefault(inj.tick, []).append(inj)
         return table
 
@@ -619,8 +636,9 @@ def _guard_checks(guard: Guard) -> tuple:
     checks = []
     for atom in guard:
         if isinstance(atom, CounterCmp):
+            # None for an operator `validate_model` rejects
             checks.append((ThimacKind.COUNTER, atom.counter,
-                           COMPARE[atom.op], atom.value))
+                           COMPARE.get(atom.op), atom.value))
         elif isinstance(atom, FlagTest):
             checks.append((ThimacKind.FLAG, atom.flag, atom.negated, None))
         else:
@@ -731,11 +749,14 @@ class Program:
     and initial overrides are read at run time instead.  `ticks` is the
     engine's tick table, filled as bundles sharing the program run, and
     `tick_places` counts the places it holds; like every table here it
-    holds no model, bundle or program, so no cycle forms."""
+    holds no model, bundle or program, so no cycle forms.  Raises
+    TmError as `compile` unless the model records a clean verdict."""
 
     def __init__(self, bundle: "ModelBundle"):
         model = bundle.model
         self.source = (bundle.events, bundle.behavior, bundle.priority)
+        if model.__dict__.get("_verdict") != self.source:
+            _raise_first_error(replace(bundle, initial={}, schedule=()))
         self.thimacs = model._by_id
         events = bundle.event_map()
         self.priority = {eid: i for i, eid in enumerate(bundle.priority_order())}
@@ -751,21 +772,15 @@ class Program:
             info = self.info[eid] = model.event_info(event)
             successor[eid] = (eid, event.bookkeeping,
                               info.mode is not SubjectMode.SUBJECTLESS)
-            if info.paths is None:
-                raise TmError(E_REGION_FLOWS, f"event {eid}: {info.reason}")
             for tid in {ref.thimac for ref in event.region}:
                 self.injection_events.setdefault(tid, []).append(eid)
             for tr in info.region.triggers:
                 for atom in tr.guard:
                     if isinstance(atom, TimerExpired):
                         self.expiry_events.setdefault(atom.timer, {})[eid] = None
-        try:
-            self.successors = {
-                src: tuple([successor[dst] for dst in dsts])
-                for src, dsts in successor_table(bundle.behavior).items()}
-        except KeyError as err:
-            raise TmError(E_UNRESOLVED_REF, f"chronology names unknown "
-                                            f"event {err.args[0]}") from None
+        self.successors = {
+            src: tuple([successor[dst] for dst in dsts])
+            for src, dsts in successor_table(bundle.behavior).items()}
         self.ticks: dict = {}
         self.tick_places = 0
 
@@ -773,8 +788,9 @@ class Program:
 def compile(bundle: "ModelBundle") -> Program:
     """The bundle's program, built once in linear time and shared by all
     bundles with equal model, events, behavior and priority, such as
-    `dataclasses.replace(bundle, schedule=...)`.  Raises TmError
-    (E_REGION_FLOWS) when an event's flows are not simple paths."""
+    `dataclasses.replace(bundle, schedule=...)`.  Raises TmError with
+    `validate_model`'s first error in model, events, chronology or
+    priority."""
     return bundle._program
 
 
@@ -802,7 +818,8 @@ def validate_model(bundle, file: str = "<model>", positions=None):
     ("behavior", index), ("priority", index), ("initial", id),
     ("schedule", index) to (line, col) pairs so parsed models report
     source locations.  Names must be identifiers as the text format
-    reads them (an empty model name stands for `unnamed`).
+    reads them (an empty model name stands for `unnamed`).  A clean
+    verdict on all but `initial` and `schedule` is kept for `compile`.
     """
     # the text format's lexical rules live in dsl, which imports this module
     from .dsl import GUARD_WORDS, ends_in_action, is_identifier
@@ -945,6 +962,9 @@ def validate_model(bundle, file: str = "<model>", positions=None):
         if missing:
             emit(("priority", len(bundle.priority)), E_UNRESOLVED_REF,
                  f"priority omits {', '.join(missing)}", SEV_WARNING)
+    if not has_errors(diags):
+        model.__dict__["_verdict"] = (bundle.events, bundle.behavior,
+                                      bundle.priority)
 
     for tid, value in sorted(bundle.initial.items()):
         problem = initial_problem(tmap.get(tid), tid, value)
@@ -964,6 +984,13 @@ def validate_model(bundle, file: str = "<model>", positions=None):
             emit(key, E_SYNTAX, f"injection tick must be at least 1, got {inj.tick}")
 
     return diags
+
+
+def _raise_first_error(bundle):
+    """Raise `validate_model`'s first error for `bundle` as TmError."""
+    for d in validate_model(bundle):
+        if d.severity == SEV_ERROR:
+            raise TmError(d.code, d.message)
 
 
 def injection_problem(t: Optional[Thimac], tid: str):

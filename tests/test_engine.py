@@ -24,6 +24,7 @@ from thimac import (
     TimerExpired,
     TmError,
     TriggerEdge,
+    validate_model,
     E_COUNTER_RANGE,
     E_DUP_ID,
     E_SYNTAX,
@@ -732,6 +733,24 @@ def test_override_must_target_store():
     assert err.value.code == E_UNRESOLVED_REF
 
 
+@pytest.mark.parametrize("initial, code", [
+    ({"tm": "7"}, E_SYNTAX),
+    ({"nope": 1}, E_UNRESOLVED_REF),
+], ids=["not an integer", "not a store"])
+def test_step_checks_the_stepped_bundles_overrides(initial, code):
+    # the configuration comes from a bundle that validates
+    b = timer_bundle(duration=2)
+    bad = dataclasses.replace(b, initial=initial)
+    first = [d for d in validate_model(bad) if d.severity == "error"][0]
+    assert first.code == code
+    cfg = init(b)
+    for _ in range(3):
+        with pytest.raises(TmError) as err:
+            step(bad, cfg)
+        assert (err.value.code, err.value.message) == (code, first.message)
+        cfg = step(b, cfg)[0]
+
+
 # --- doorway fixture -----------------------------------------------------------
 
 def test_door_walk():
@@ -1014,8 +1033,7 @@ def test_a_handed_off_look_up_follows_the_initial_overrides():
     cfg = step(b, init(b))[0]
     expected = step(cold(twos), cfg)
     enabled_events(b, cfg)
-    b.initial["c"] = 2
-    assert step(b, cfg) == expected
+    assert step(dataclasses.replace(b, initial={"c": 2}), cfg) == expected
 
 
 def _in_m(*tokens, pending=("t1",)):
@@ -1132,7 +1150,7 @@ def test_a_replayed_tick_ignores_changes_to_a_stepped_configuration(fixture):
 
 @pytest.mark.parametrize("schedule, tick", [
     ([("t1", 1), ("t1", 1)], 1),                    # two arrivals share a label
-    ([("t1", 1), ("t2", 1), ("t1", 2)], 2),         # the label is taken
+    ([("t1", 2)], 2),           # a token of the configuration has the label
 ], ids=["arrivals", "taken"])
 def test_a_recorded_tick_still_rejects_a_label_twice(schedule, tick):
     b = line_bundle(schedule=[Injection(1, "env", "t1"),
@@ -1141,9 +1159,10 @@ def test_a_recorded_tick_still_rejects_a_label_twice(schedule, tick):
     run(b)
     dup = dataclasses.replace(b, schedule=tuple(
         Injection(at, "env", label) for label, at in schedule))
-    cfg = init(dup)
+    # the configuration comes from `b`, whose tick 1 injects t1 and t2
+    cfg = init(b)
     while cfg.tick < tick - 1:
-        cfg = step(dup, cfg)[0]
+        cfg = step(b, cfg)[0]
     # the same tick with fresh labels is recorded
     fresh = dataclasses.replace(b, schedule=tuple(
         Injection(inj.tick, "env", f"n{k}")

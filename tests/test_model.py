@@ -46,8 +46,9 @@ from thimac import (
     E_UNRESOLVED_REF,
     SEV_WARNING,
 )
+from thimac import model as model_module
 from thimac.dsl import parse_file
-from thimac.engine import run
+from thimac.engine import enabled_events, init, run, step
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -513,6 +514,16 @@ def test_a_list_changed_after_building_changes_nothing(name):
     assert run(replace(b)) == expected
 
 
+def test_a_bundle_keeps_a_read_only_copy_of_its_overrides():
+    given = {"B1.count": 1}
+    b = replace(parse_file(FIXTURES / "assembly_line.tm").bundle,
+                initial=given)
+    given["B1.count"] = 9
+    with pytest.raises(TypeError):
+        b.initial["B1.count"] = 9
+    assert b.initial == {"B1.count": 1} and b.starts["B1.count"] == 1
+
+
 def test_an_event_region_given_as_a_set_validates_and_runs():
     parsed = parse_file(FIXTURES / "door.tm").bundle
     first, *rest = parsed.events
@@ -587,3 +598,80 @@ def test_counter_comparisons_need_integers(value):
     ok = replace(b, model=replace(b.model, triggers=(replace(
         b.model.triggers[0], guard=(CounterCmp("c", "<", 2),)),)))
     assert validate_model(ok) == []
+
+
+# --- one validity gate -----------------------------------------------------------
+
+def _assembly():
+    return parse_file(FIXTURES / "assembly_line.tm").bundle
+
+
+def _guarded_arrival(b, atom):
+    """`b` with `atom` guarding the first station's arrival count."""
+    return replace(b, model=replace(b.model, triggers=[
+        replace(t, guard=(atom,)) if str(t.src) == "M1.receive" else t
+        for t in b.model.triggers]))
+
+
+def _first_arrival_at(b, tick):
+    return replace(b, schedule=(replace(b.schedule[0], tick=tick),)
+                   + b.schedule[1:])
+
+
+# Changes to `assembly_line.tm` that `validate_model` rejects, each of
+# which the engine once ran silently, ran wrongly or failed on with a
+# raw exception.
+INVALID_VARIANTS = {
+    "injection at tick 0": lambda b: _first_arrival_at(b, 0),
+    "injection at tick -3": lambda b: _first_arrival_at(b, -3),
+    "priority lists an event twice": lambda b: replace(
+        b, priority=b.priority + ("E1",)),
+    "priority names an unknown event": lambda b: replace(
+        b, priority=b.priority + ("nope",)),
+    "duplicate event id": lambda b: replace(
+        b, events=b.events + (replace(b.events[0]),)),
+    "empty region": lambda b: replace(
+        b, events=b.events + (Event("E14", frozenset()),)),
+    "guard on an unknown counter": lambda b: _guarded_arrival(
+        b, CounterCmp("nope", "<", 3)),
+    "guard against a string": lambda b: _guarded_arrival(
+        b, CounterCmp("B1.count", "<", "3")),
+    "unknown comparison operator": lambda b: _guarded_arrival(
+        b, CounterCmp("B1.count", "~", 3)),
+    "duplicate thimac id": lambda b: replace(b, model=replace(
+        b.model, thimacs=b.model.thimacs
+        + (replace(b.model.thimac_map()["B1.count"], hi=1),))),
+}
+
+
+@pytest.mark.parametrize("name", INVALID_VARIANTS)
+def test_the_engine_runs_only_what_validation_accepts(name):
+    b = INVALID_VARIANTS[name](_assembly())
+    first = next(d for d in validate_model(b) if d.severity == "error")
+    start = init(_assembly())
+    for call in (run, lambda bad: step(bad, start),
+                 lambda bad: enabled_events(bad, start)):
+        with pytest.raises(TmError) as err:
+            call(b)
+        assert (err.value.code, err.value.message) == (first.code,
+                                                      first.message)
+
+
+def test_an_unknown_comparison_operator_is_a_diagnostic():
+    b = _guarded_arrival(_assembly(), CounterCmp("B1.count", "~", 3))
+    assert [(d.code, d.message) for d in validate_model(b)] == [
+        (E_SYNTAX, "bad comparison operator ~")]
+
+
+def test_a_clean_verdict_spares_the_program_its_checks(monkeypatch):
+    checked = []
+    real = model_module.validate_model
+    monkeypatch.setattr(model_module, "validate_model",
+                        lambda *args: checked.append(1) or real(*args))
+    b = _assembly()
+    checked.clear()
+    compile(replace(b, schedule=()))
+    assert checked == []
+    # a copy of the model has no verdict on record
+    compile(replace(b, model=replace(b.model)))
+    assert checked == [1]
