@@ -166,25 +166,37 @@ def project_config(bundle: ModelBundle, projection, config: Configuration):
     """Project a configuration onto named components, in declaration
     order: counters give their value, flags their truth, token-bearing
     thimacs their status (`machine_status`, from one scan of the
-    tokens).  Unknown ids and timers raise TmError."""
-    tmap = bundle.model._by_id
+    tokens).  Unknown ids and timers raise TmError.  Each projection is
+    planned once per model, as (kind, id, block flag id) per id."""
+    projection = tuple(projection)
+    plans = bundle.model._projections
+    try:
+        plan = plans.get(projection)
+    except TypeError:       # an id that does not hash raises below
+        plan = None
+    if plan is None:
+        tmap = bundle.model._by_id
+        plan = []
+        for tid in projection:
+            t = tmap.get(tid)
+            if t is None:
+                raise TmError(E_UNRESOLVED_REF,
+                              f"projection names unknown thimac {tid!r}")
+            if t.kind is _TIMER:
+                raise TmError(E_UNRESOLVED_REF,
+                              f"projection names timer {tid!r}, which has no "
+                              f"projected value")
+            plan.append((t.kind, tid, block_flag_id(tid)))
+        plans[projection] = plan
+    counters, flags = config.counters, config.flags
     out = []
     busy = None
-    for tid in projection:
-        t = tmap.get(tid)
-        if t is None:
-            raise TmError(E_UNRESOLVED_REF,
-                          f"projection names unknown thimac {tid!r}")
-        kind = t.kind
+    for kind, tid, block in plan:
         if kind is _COUNTER:
-            out.append(config.counters[tid])
+            out.append(counters[tid])
         elif kind is _FLAG:
-            out.append(config.flags[tid])
-        elif kind is _TIMER:
-            raise TmError(E_UNRESOLVED_REF,
-                          f"projection names timer {tid!r}, which has no "
-                          f"projected value")
-        elif config.flags.get(block_flag_id(tid)):
+            out.append(flags[tid])
+        elif flags.get(block):
             out.append(MACHINE_BLOCKED)
         else:
             if busy is None:

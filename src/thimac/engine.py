@@ -85,7 +85,7 @@ timer still counting.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Optional
 
@@ -188,6 +188,24 @@ class TraceEntry:
 
     tick: int
     fired: tuple
+
+
+def _maker(cls):
+    """A constructor of the frozen record type `cls`, one parameter per
+    field, that fills each slot through its member descriptor instead of
+    the generated `__init__`'s `object.__setattr__` per field; its source
+    is generated from the fields, as dataclasses generates `__init__`."""
+    names = [f.name for f in fields(cls)]
+    env = {f"set_{name}": cls.__dict__[name].__set__ for name in names}
+    env.update(new=object.__new__, cls=cls)
+    sets = "".join(f"    set_{name}(record, {name})\n" for name in names)
+    exec(f"def make({', '.join(names)}):\n    record = new(cls)\n{sets}"
+         f"    return record\n", env)
+    return env["make"]
+
+
+_configuration, _fired, _trace_entry = map(
+    _maker, (Configuration, FiredEvent, TraceEntry))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +393,14 @@ def _open_tick(prog: Program, config: Configuration, new, labels: list):
             for eid, subj in order]
 
 
-def _next(config: Configuration, new, counters, flags, timers):
+def _next(config: Configuration, new, counters, flags, timers, ranked=None):
     """The configuration after `config` as a tick starts it: copies of
-    its tokens plus the injected `new`, the given store tables, and
-    nothing pending yet."""
+    its tokens plus the injected `new`, the given store tables and key
+    (`ranked`), and nothing pending yet."""
     tokens = {label: tok.copy() for label, tok in config.tokens.items()}
     tokens.update(new)
-    return Configuration(config.tick + 1, counters, flags, timers, tokens, {})
+    return _configuration(config.tick + 1, counters, flags, timers, tokens, {},
+                          ranked)
 
 
 def _fire(prog: Program, starts, config: Configuration, new, opening):
@@ -417,8 +436,8 @@ def _fire(prog: Program, starts, config: Configuration, new, opening):
             tok.thimac = thimac
             tok.stage = stage
         _apply_triggers(binding.info, cfg, starts)
-        fired.append(FiredEvent(eid, binding.subject,
-                                binding.info.event.bookkeeping))
+        fired.append(_fired(eid, binding.subject,
+                            binding.info.event.bookkeeping))
         written |= binding.write_set
         context = binding.subject
         for succ_id, cofires, carries in reversed(
@@ -453,7 +472,7 @@ def _fire(prog: Program, starts, config: Configuration, new, opening):
         for eid in prog.expiry_events.get(tid, ()):
             cfg.pending[eid, None] = None
 
-    return cfg, TraceEntry(cfg.tick, tuple(fired))
+    return cfg, _trace_entry(cfg.tick, tuple(fired))
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +520,16 @@ def _look_up(bundle: ModelBundle, config: Configuration):
     """Inject the arrivals of the tick after `config`, key the tick and
     look it up in the program's tick table.  Returns the key (the state
     key `config` carries or `_rank` builds, the arrival thimacs and the
-    initial overrides), the labels by rank (the live tokens in injection
-    order, then the arrivals), the injected tokens and the table's
-    entry, None when unrecorded."""
+    initial overrides as the bundle keeps them once `bundle.starts`
+    accepts them, so a hit and a miss raise alike), the labels by rank
+    (the live tokens in injection order, then the arrivals), the
+    injected tokens and the table's entry, None when unrecorded."""
     prog = compile(bundle)
     injections = bundle.arrivals.get(config.tick + 1)
     new = _inject(prog, injections, config) if injections else {}
     state, labels = config.ranked or _rank(config)
     key = (state, tuple([tok.thimac for tok in new.values()]),
-           tuple(bundle.initial.items()))
+           bundle._initial_key)
     return key, [*labels, *new], new, prog.ticks.get(key)
 
 
@@ -548,10 +568,12 @@ def _replay(config: Configuration, labels: list, new, entry):
     """The next configuration and trace entry of the tick after
     `config`, with its injected tokens `new`, recorded as `entry`, with
     ranks read back as `labels`; the configuration carries the entry's
-    state key."""
+    state key.  Every record is built through its slots (`_configuration`,
+    `_fired`, `_trace_entry`), the key set with the other fields."""
     _enabled, places, counters, flags, timers, pending, fired, state, live \
         = entry
-    cfg = _next(config, new, counters.copy(), flags.copy(), timers.copy())
+    cfg = _next(config, new, counters.copy(), flags.copy(), timers.copy(),
+                (state, tuple([labels[rank] for rank in live])))
     tokens = cfg.tokens
     places = iter(places)
     for label, thimac, stage in zip(labels, places, places):
@@ -562,10 +584,8 @@ def _replay(config: Configuration, labels: list, new, entry):
     pending = iter(pending)
     for eid, rank in zip(pending, pending):
         pend[eid, rank if rank is None else labels[rank]] = None
-    object.__setattr__(cfg, "ranked",
-                       (state, tuple([labels[rank] for rank in live])))
-    return cfg, TraceEntry(cfg.tick, tuple([
-        f if rank is None else FiredEvent(f.event, labels[rank], f.bookkeeping)
+    return cfg, _trace_entry(cfg.tick, tuple([
+        f if rank is None else _fired(f.event, labels[rank], f.bookkeeping)
         for f, rank in fired]))
 
 

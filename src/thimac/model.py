@@ -264,6 +264,11 @@ class StaticModel:
         return {t.id: t for t in self.thimacs}
 
     @cached_property
+    def _projections(self) -> dict:
+        # `behavior.project_config`'s plans, by projected ids
+        return {}
+
+    @cached_property
     def _edges_from(self) -> tuple:
         # for flows, then triggers: source -> target -> edge indices
         def table(edges):
@@ -388,12 +393,19 @@ class ModelBundle:
                                  for tid, t in tmap.items() if t.is_store})
 
     @cached_property
+    def _initial_key(self) -> tuple:
+        """The overrides as the tick table keys them, once `starts` accepts them."""
+        self.starts
+        return tuple(self.initial.items())
+
+    @cached_property
     def arrivals(self) -> dict:
         """Tick -> the injections scheduled for it, in schedule order;
         raises TmError for a schedule `validate_model` rejects."""
         landing, labels, table = self._program.landing, set(), {}
         for inj in self.schedule:
-            if inj.label in labels or inj.thimac not in landing or inj.tick < 1:
+            if (inj.label in labels or inj.thimac not in landing
+                    or not _is_int(inj.tick) or inj.tick < 1):
                 _raise_first_error(replace(self, initial={}))
             labels.add(inj.label)
             table.setdefault(inj.tick, []).append(inj)
@@ -637,8 +649,8 @@ def _guard_checks(guard: Guard) -> tuple:
     for atom in guard:
         if isinstance(atom, CounterCmp):
             # None for an operator `validate_model` rejects
-            checks.append((ThimacKind.COUNTER, atom.counter,
-                           COMPARE.get(atom.op), atom.value))
+            op = COMPARE.get(atom.op) if isinstance(atom.op, str) else None
+            checks.append((ThimacKind.COUNTER, atom.counter, op, atom.value))
         elif isinstance(atom, FlagTest):
             checks.append((ThimacKind.FLAG, atom.flag, atom.negated, None))
         else:
@@ -895,8 +907,7 @@ def validate_model(bundle, file: str = "<model>", positions=None):
                          f"guard compares {atom.counter} which is not a counter")
                 elif atom.op not in COMPARE_OPS:
                     emit(key, E_SYNTAX, f"bad comparison operator {atom.op}")
-                elif (not isinstance(atom.value, int)
-                      or isinstance(atom.value, bool)):
+                elif not _is_int(atom.value):
                     emit(key, E_SYNTAX, f"guard compares {atom.counter} "
                                         f"with {atom.value!r}, not an integer")
             elif isinstance(atom, FlagTest):
@@ -980,10 +991,17 @@ def validate_model(bundle, file: str = "<model>", positions=None):
         problem = injection_problem(tmap.get(inj.thimac), inj.thimac)
         if problem is not None:
             emit(key, *problem)
-        if inj.tick < 1:
+        if not _is_int(inj.tick):
+            emit(key, E_SYNTAX, f"injection tick must be an integer, got {inj.tick!r}")
+        elif inj.tick < 1:
             emit(key, E_SYNTAX, f"injection tick must be at least 1, got {inj.tick}")
 
     return diags
+
+
+def _is_int(value) -> bool:
+    """Whether `value` is an integer as the text format writes one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _raise_first_error(bundle):
@@ -1012,7 +1030,7 @@ def initial_problem(t: Optional[Thimac], tid: str, value):
     if t.kind == ThimacKind.FLAG:
         if not isinstance(value, bool):
             return E_SYNTAX, f"flag {tid} must start true or false"
-    elif not isinstance(value, int) or isinstance(value, bool):
+    elif not _is_int(value):
         return E_SYNTAX, f"{t.kind.value} {tid} must start at an integer"
     elif t.kind == ThimacKind.COUNTER and not (t.lo <= value <= t.hi):
         return E_COUNTER_RANGE, f"counter {tid} initial value {value} outside {t.lo}..{t.hi}"

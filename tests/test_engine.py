@@ -623,6 +623,56 @@ def test_run_records_survive_deepcopy_and_pickle(fixture, ticks):
         assert step(b, copied[0]) == step(b, cfg)
 
 
+def _no_firing(*_args):
+    raise AssertionError("a recorded tick was fired")
+
+
+def _fence_records(cfg, entry):
+    """`cfg` and `entry`, as `step` built them, against the records the
+    public constructors build from their fields."""
+    public_cfg = Configuration(cfg.tick, cfg.counters, cfg.flags, cfg.timers,
+                               cfg.tokens, cfg.pending)
+    public_entry = TraceEntry(entry.tick, tuple(
+        FiredEvent(f.event, f.subject, f.bookkeeping) for f in entry.fired))
+    for got, public in [(cfg, public_cfg), (entry, public_entry),
+                        *zip(entry.fired, public_entry.fired)]:
+        assert type(got) is type(public)
+        assert (got, repr(got)) == (public, repr(public))
+        for copied in (copy.copy(got), copy.deepcopy(got),
+                       pickle.loads(pickle.dumps(got)),
+                       dataclasses.replace(got)):
+            assert (copied, repr(copied)) == (public, repr(public))
+        if type(got) is not Configuration:
+            assert hash(got) == hash(public)
+        for f in dataclasses.fields(got):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, f.name, None)
+    # a copy is ranked anew
+    for copied in (copy.deepcopy(cfg), dataclasses.replace(cfg)):
+        assert copied.ranked is None
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name
+                                           for p in FIXTURES.glob("*.tm")))
+def test_fired_and_replayed_records_match_public_ones(monkeypatch, fixture):
+    # the engine builds its records through their slots, not through
+    # the generated __init__
+    b = parse_file(FIXTURES / fixture).bundle
+    runs = [run(cold(b), max_ticks=40)]
+    for replayed in (False, True):
+        if replayed:
+            monkeypatch.setattr(engine, "_fire", _no_firing)
+        cfg, trace = init(b), []
+        while not quiescent(b, cfg) and cfg.tick < 40:
+            cfg, entry = step(b, cfg)
+            _fence_records(cfg, entry)
+            assert cfg.ranked is not None or not replayed
+            trace.append(entry)
+        runs.append((cfg, trace))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][1]
+
+
 # --- timers -------------------------------------------------------------------
 
 def timer_bundle(duration=2, initial=None):
@@ -738,17 +788,21 @@ def test_override_must_target_store():
     ({"nope": 1}, E_UNRESOLVED_REF),
 ], ids=["not an integer", "not a store"])
 def test_step_checks_the_stepped_bundles_overrides(initial, code):
-    # the configuration comes from a bundle that validates
+    # the configuration comes from a bundle that validates; the second
+    # pass finds every tick recorded
     b = timer_bundle(duration=2)
     bad = dataclasses.replace(b, initial=initial)
     first = [d for d in validate_model(bad) if d.severity == "error"][0]
     assert first.code == code
-    cfg = init(b)
-    for _ in range(3):
-        with pytest.raises(TmError) as err:
-            step(bad, cfg)
-        assert (err.value.code, err.value.message) == (code, first.message)
-        cfg = step(b, cfg)[0]
+    for _pass in range(2):
+        cfg = init(b)
+        for _ in range(3):
+            for call in (step, enabled_events):
+                with pytest.raises(TmError) as err:
+                    call(bad, cfg)
+                assert (err.value.code, err.value.message) == (code,
+                                                              first.message)
+            cfg = step(b, cfg)[0]
 
 
 # --- doorway fixture -----------------------------------------------------------

@@ -638,6 +638,9 @@ INVALID_VARIANTS = {
         b, CounterCmp("B1.count", "<", "3")),
     "unknown comparison operator": lambda b: _guarded_arrival(
         b, CounterCmp("B1.count", "~", 3)),
+    "comparison operator in a list": lambda b: _guarded_arrival(
+        b, CounterCmp("B1.count", ["<"], 3)),
+    "injection at tick '3'": lambda b: _first_arrival_at(b, "3"),
     "duplicate thimac id": lambda b: replace(b, model=replace(
         b.model, thimacs=b.model.thimacs
         + (replace(b.model.thimac_map()["B1.count"], hi=1),))),
@@ -661,6 +664,20 @@ def test_an_unknown_comparison_operator_is_a_diagnostic():
     b = _guarded_arrival(_assembly(), CounterCmp("B1.count", "~", 3))
     assert [(d.code, d.message) for d in validate_model(b)] == [
         (E_SYNTAX, "bad comparison operator ~")]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("comparison operator in a list", "bad comparison operator ['<']"),
+    ("injection at tick '3'", "injection tick must be an integer, got '3'"),
+], ids=["operator in a list", "tick as a string"])
+def test_a_value_of_the_wrong_type_is_a_diagnostic(name, message):
+    # such values once raised a raw TypeError from validation and runs
+    b = INVALID_VARIANTS[name](_assembly())
+    assert [(d.code, d.message) for d in validate_model(b)] == [
+        (E_SYNTAX, message)]
+    with pytest.raises(TmError) as err:
+        b.arrivals
+    assert (err.value.code, err.value.message) == (E_SYNTAX, message)
 
 
 def test_a_clean_verdict_spares_the_program_its_checks(monkeypatch):
