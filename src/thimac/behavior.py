@@ -20,7 +20,6 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .model import (
     ActionKind,
@@ -31,6 +30,7 @@ from .model import (
     ThimacKind,
     TmError,
     block_flag_id,
+    cached_value,
     successor_table,
 )
 from .engine import Configuration, init, quiescent, step
@@ -58,7 +58,7 @@ class BehaviorGraph:
     def successors(self, src: str):
         return list(self._successors.get(src, ()))
 
-    @cached_property
+    @cached_value
     def _successors(self) -> dict:
         return successor_table(self.edges)
 

@@ -37,13 +37,19 @@ with the readers here.
 `parse` returns a ParseResult; the bundle is present exactly when no
 error-severity diagnostics were produced.  `serialize` emits the
 canonical form, which `parse` maps back to the same bundle.
+
+`parse` reads token kinds and texts from one `findall` scan, without
+their places.  `_lex` is the one lexer that places tokens: the
+line-based formats read it, and `parse` runs it over the text once,
+only when a diagnostic names a token or a character no token starts
+with is present.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress, groupby
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -159,6 +165,42 @@ def _lex(text: str, file: str):
     return tokens, diags
 
 
+# `_scan`'s pattern: `_TOKEN_RE`'s blanks and alternatives, but for
+# `end`, in one group, so `findall` lists every token, newline, comment
+# and bad character as its text.
+_SCAN_RE = re.compile("[ \t\r]*(" + "|".join(
+    pattern for kind, pattern in _TOKEN_PATTERNS if kind != "end") + ")")
+# A text's kind by its first character; None for a newline or comment.
+# The whole texts in `_SCAN_EXACT` are read first: a lone '"', '.', '!'
+# or '-' is a bad character, and '-' starts an int unless it is '->'.
+_SCAN_FIRST = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                    "abcdefghijklmnopqrstuvwxyz_", "ident"),
+    **dict.fromkeys("0123456789-", "int"),
+    "\n": None, "#": None, '"': "string", ".": "dotdot",
+    "!": "cmp", "<": "cmp", ">": "cmp", "=": "cmp",
+    "{": "lbrace", "}": "rbrace", "[": "lbracket", "]": "rbracket",
+    ",": "comma", ";": "semi", ":": "colon",
+}
+_SCAN_EXACT = {**dict.fromkeys('".!-', "bad"), "->": "arrow"}
+
+
+def _scan(text: str):
+    """The kinds and texts of `text`'s tokens as `_lex` lists them, eof
+    last, without their places; None when a character no token starts
+    with is present, so that `_lex` reports it."""
+    found = _SCAN_RE.findall(text)
+    exact, first = _SCAN_EXACT.get, _SCAN_FIRST.get
+    kinds = [exact(t) or first(t[0], "bad") for t in found]
+    if "bad" in kinds:
+        return None
+    texts = list(compress(found, kinds))
+    kinds = list(compress(kinds, kinds))
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts
+
+
 def lex_lines(text: str, file: str):
     """The model format's tokens grouped by source line, without blank
     and comment-only lines, plus the diagnostics for characters no
@@ -216,13 +258,45 @@ def _escape(text: str) -> str:
         .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t") + '"'
 
 
-class _Parser:
-    def __init__(self, tokens, file, diags):
-        self.tokens = tokens
+class _Positions:
+    """The (line, col) of each entity a parse recorded, read by
+    `validate_model` as `positions.get(key, default)`.  A parse records
+    each entity's token index in `at`; the first lookup lexes the text
+    once more with `_lex` and reads the place from its tokens."""
+
+    def __init__(self, text: str, file: str):
+        self.text = text
         self.file = file
+        self.at = {}
+        self.tokens = None
+
+    def of_token(self, i: int) -> tuple:
+        if self.tokens is None:
+            self.tokens = _lex(self.text, self.file)[0]
+        tok = self.tokens[i]
+        return tok.line, tok.col
+
+    def get(self, key, default=None):
+        i = self.at.get(key)
+        return default if i is None else self.of_token(i)
+
+
+class _Parser:
+    """A recursive-descent reader over the token kinds and texts of a
+    document, the last token of kind `eof`.  Tokens are named by their
+    index; `positions` places an index only when a diagnostic names it,
+    and keeps the index of the token each entity stands at.  Nothing in
+    `positions` points back here, so a parse frees itself by reference
+    counting alone."""
+
+    def __init__(self, kinds: list, texts: list, positions: _Positions,
+                 diags: list):
+        self.kinds = kinds
+        self.texts = texts
+        self.positions = positions
+        self.at = positions.at
         self.diags = diags
         self.i = 0
-        self.positions = {}
         self.thimacs = []
         self.flows = []
         self.triggers = []
@@ -237,68 +311,73 @@ class _Parser:
 
     # --- token plumbing ---
     # `expect` and `eat` only step past a token of the kind they asked
-    # for, never eof, so only `next` has to stop at the end.
+    # for, never eof, so only `next` has to stop at the end.  After an
+    # `expect`, the token it took is `self.i - 1`.
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.kinds[self.i]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+    def next(self) -> int:
+        i = self.i
+        if self.kinds[i] != "eof":
+            self.i = i + 1
+        return i
 
-    def fail(self, tok: Token, message: str):
-        self.diags.append(Diagnostic(self.file, tok.line, tok.col, E_SYNTAX, message))
+    def fail(self, at: int, message: str):
+        line, col = self.positions.of_token(at)
+        self.diags.append(Diagnostic(self.positions.file, line, col,
+                                     E_SYNTAX, message))
         raise _ParseFailure()
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != kind:
-            self.fail(tok, f"expected {what}, got {tok.text or 'end of file'!r}")
-        self.i += 1
-        return tok
+    def expect(self, kind: str, what: str) -> str:
+        i = self.i
+        if self.kinds[i] != kind:
+            self.fail(i, f"expected {what}, got "
+                         f"{self.texts[i] or 'end of file'!r}")
+        self.i = i + 1
+        return self.texts[i]
 
-    def expect_word(self, word: str) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "ident" or tok.text != word:
-            self.fail(tok, f"expected {word!r}, got {tok.text or 'end of file'!r}")
-        self.i += 1
-        return tok
+    def expect_word(self, word: str):
+        i = self.i
+        if self.kinds[i] != "ident" or self.texts[i] != word:
+            self.fail(i, f"expected {word!r}, got "
+                         f"{self.texts[i] or 'end of file'!r}")
+        self.i = i + 1
 
     def eat(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.tokens[self.i]
-        if tok.kind == kind and (text is None or tok.text == text):
-            self.i += 1
+        i = self.i
+        if self.kinds[i] == kind and (text is None or self.texts[i] == text):
+            self.i = i + 1
             return True
         return False
 
     def expect_enum(self, members: dict, what: str, noun: str):
-        tok = self.expect("ident", what)
-        member = members.get(tok.text)
+        text = self.expect("ident", what)
+        member = members.get(text)
         if member is None:
-            self.fail(tok, f"unknown {noun} {tok.text!r}")
+            self.fail(self.i - 1, f"unknown {noun} {text!r}")
         return member
 
     def expect_int(self, what: str) -> int:
-        tok = self.expect("int", what)
-        return int(tok.text)
+        return int(self.expect("int", what))
 
     def expect_ref(self, what: str = "an action reference") -> ActionRef:
-        tok = self.expect("ident", what)
-        ref = self.refs.get(tok.text)
+        text = self.expect("ident", what)
+        ref = self.refs.get(text)
         if ref is None:
-            ref = read_ref(tok.text)
+            ref = read_ref(text)
             if ref is None:
-                self.fail(tok, f"{tok.text!r} is not a dotted action reference")
-            self.refs[tok.text] = ref
+                self.fail(self.i - 1,
+                          f"{text!r} is not a dotted action reference")
+            self.refs[text] = ref
         return ref
 
     # --- declarations ---
+    # each handler takes the index of its keyword
 
     def parse_document(self):
         self.expect_word("model")
-        self.name = self.expect("ident", "a model name").text
+        self.name = self.expect("ident", "a model name")
         handlers = {
             "thimac": self.parse_thimac,
             "flow": self.parse_flow,
@@ -309,18 +388,19 @@ class _Parser:
             "initial": self.parse_initial,
             "schedule": self.parse_schedule,
         }
-        while self.peek().kind != "eof":
-            tok = self.next()
-            if tok.kind != "ident":
-                self.fail(tok, f"expected a declaration, got {tok.text!r}")
-            handler = handlers.get(tok.text)
+        while self.peek() != "eof":
+            kw = self.next()
+            word = self.texts[kw]
+            if self.kinds[kw] != "ident":
+                self.fail(kw, f"expected a declaration, got {word!r}")
+            handler = handlers.get(word)
             if handler is None:
-                self.fail(tok, f"unknown declaration {tok.text!r}")
-            handler(tok)
+                self.fail(kw, f"unknown declaration {word!r}")
+            handler(kw)
 
-    def parse_thimac(self, kw: Token):
-        name_tok = self.expect("ident", "a thimac id")
-        tid = name_tok.text
+    def parse_thimac(self, kw: int):
+        at = self.i
+        tid = self.expect("ident", "a thimac id")
         self.expect_word("kind")
         kind = self.expect_enum(_THIMAC_KINDS, "a thimac kind", "thimac kind")
         self.expect("lbrace", "'{'")
@@ -330,64 +410,62 @@ class _Parser:
         duration = 0
         while not self.eat("rbrace"):
             member = self.expect("ident", "a thimac member")
-            if member.text == "actions":
+            if member == "actions":
                 self.expect("colon", "':'")
                 while True:
                     actions.add(self.expect_enum(_ACTIONS, "an action name",
                                                  "action"))
                     if not self.eat("comma"):
                         break
-            elif member.text == "range":
+            elif member == "range":
                 lo = self.expect_int("a range lower bound")
                 self.expect("dotdot", "'..'")
                 hi = self.expect_int("a range upper bound")
                 self.expect_word("init")
                 init = self.expect_int("an initial value")
-            elif member.text == "init":
+            elif member == "init":
                 val = self.expect("ident", "true or false")
-                if val.text not in ("true", "false"):
-                    self.fail(val, f"expected true or false, got {val.text!r}")
-                init = val.text == "true"
-            elif member.text == "duration":
+                if val not in ("true", "false"):
+                    self.fail(self.i - 1, f"expected true or false, got {val!r}")
+                init = val == "true"
+            elif member == "duration":
                 duration = self.expect_int("a duration")
             else:
-                self.fail(member, f"unknown thimac member {member.text!r}")
-        self.positions[("thimac", tid)] = (name_tok.line, name_tok.col)
+                self.fail(self.i - 1, f"unknown thimac member {member!r}")
+        self.at[("thimac", tid)] = at
         self.thimacs.append(Thimac(tid, kind, frozenset(actions),
                                    lo, hi, init, duration))
 
-    def parse_flow(self, kw: Token):
+    def parse_flow(self, kw: int):
         src = self.expect_ref()
         self.expect("arrow", "'->'")
         dst = self.expect_ref()
-        self.positions[("flow", len(self.flows))] = (kw.line, kw.col)
+        self.at[("flow", len(self.flows))] = kw
         self.flows.append(FlowEdge(src, dst))
 
     def parse_guard(self) -> tuple:
         atoms = []
         while True:
-            tok = self.peek()
-            if tok.kind != "ident":
-                self.fail(tok, "expected a guard atom")
+            if self.peek() != "ident":
+                self.fail(self.i, "expected a guard atom")
             if self.eat("ident", "not"):
                 flag = self.expect("ident", "a flag name")
-                atoms.append(FlagTest(flag.text, negated=True))
+                atoms.append(FlagTest(flag, negated=True))
             elif self.eat("ident", "expired"):
-                timer = self.expect("ident", "a timer name")
-                atoms.append(TimerExpired(timer.text))
+                atoms.append(TimerExpired(self.expect("ident", "a timer name")))
             else:
-                name = self.next()
-                if self.peek().kind == "cmp":
-                    op = self.next().text
+                name = self.texts[self.next()]
+                if self.peek() == "cmp":
+                    op = self.texts[self.next()]
                     value = self.expect_int("a comparison value")
-                    atoms.append(CounterCmp(name.text, op, value))
+                    atoms.append(CounterCmp(name, op, value))
                 else:
-                    atoms.append(FlagTest(name.text))
+                    atoms.append(FlagTest(name))
             if not self.eat("ident", "and"):
                 break
         return tuple(atoms)
 
-    def parse_trigger(self, kw: Token):
+    def parse_trigger(self, kw: int):
         src = self.expect_ref()
         self.expect("arrow", "'->'")
         dst = self.expect_ref()
@@ -397,12 +475,13 @@ class _Parser:
         guard = ()
         if self.eat("ident", "when"):
             guard = self.parse_guard()
-        self.positions[("trigger", len(self.triggers))] = (kw.line, kw.col)
+        self.at[("trigger", len(self.triggers))] = kw
         self.triggers.append(TriggerEdge(src, dst, effect, guard))
 
-    def parse_event(self, kw: Token):
-        name_tok = self.expect("ident", "an event id")
-        label_tok = self.expect("string", "a label string")
+    def parse_event(self, kw: int):
+        at = self.i
+        eid = self.expect("ident", "an event id")
+        label = self.expect("string", "a label string")
         bookkeeping = self.eat("ident", "bookkeeping")
         displayed = self.eat("ident", "displayed")
         self.expect_word("region")
@@ -411,59 +490,61 @@ class _Parser:
         while not self.eat("rbrace"):
             refs.add(self.expect_ref())
             self.eat("comma")
-        self.positions[("event", name_tok.text)] = (name_tok.line, name_tok.col)
-        self.events.append(Event(name_tok.text, frozenset(refs),
-                                 _unescape(label_tok.text), bookkeeping, displayed))
+        self.at[("event", eid)] = at
+        self.events.append(Event(eid, frozenset(refs), _unescape(label),
+                                 bookkeeping, displayed))
 
-    def parse_behavior(self, kw: Token):
+    def parse_behavior(self, kw: int):
         self.expect("lbrace", "'{'")
         while not self.eat("rbrace"):
+            at = self.i
             src = self.expect("ident", "an event id")
             self.expect("arrow", "'->'")
             dst = self.expect("ident", "an event id")
             self.expect("semi", "';'")
-            self.positions[("behavior", len(self.behavior))] = (src.line, src.col)
-            self.behavior.append((src.text, dst.text))
+            self.at[("behavior", len(self.behavior))] = at
+            self.behavior.append((src, dst))
 
-    def parse_priority(self, kw: Token):
+    def parse_priority(self, kw: int):
         self.expect("lbracket", "'['")
         self.saw_priority = True
         while not self.eat("rbracket"):
-            tok = self.expect("ident", "an event id")
-            self.positions[("priority", len(self.priority))] = (tok.line, tok.col)
-            self.priority.append(tok.text)
+            self.at[("priority", len(self.priority))] = self.i
+            self.priority.append(self.expect("ident", "an event id"))
             self.eat("comma")
 
-    def parse_initial(self, kw: Token):
+    def parse_initial(self, kw: int):
         self.expect("lbrace", "'{'")
         while not self.eat("rbrace"):
-            name_tok = self.expect("ident", "a store id")
+            at = self.i
+            store = self.expect("ident", "a store id")
             eq = self.expect("cmp", "'='")
-            if eq.text != "=":
-                self.fail(eq, f"expected '=', got {eq.text!r}")
-            tok = self.next()
-            if tok.kind == "int":
-                value = int(tok.text)
-            elif tok.kind == "ident" and tok.text in ("true", "false"):
-                value = tok.text == "true"
+            if eq != "=":
+                self.fail(self.i - 1, f"expected '=', got {eq!r}")
+            i = self.next()
+            kind, text = self.kinds[i], self.texts[i]
+            if kind == "int":
+                value = int(text)
+            elif kind == "ident" and text in ("true", "false"):
+                value = text == "true"
             else:
-                self.fail(tok, f"expected a value, got {tok.text!r}")
+                self.fail(i, f"expected a value, got {text!r}")
             self.expect("semi", "';'")
-            self.positions[("initial", name_tok.text)] = (name_tok.line, name_tok.col)
-            self.initial[name_tok.text] = value
+            self.at[("initial", store)] = at
+            self.initial[store] = value
 
-    def parse_schedule(self, kw: Token):
+    def parse_schedule(self, kw: int):
         self.expect("lbrace", "'{'")
         while not self.eat("rbrace"):
-            at = self.expect_word("at")
+            at = self.i
+            self.expect_word("at")
             tick = self.expect_int("a tick number")
             self.expect_word("inject")
             target = self.expect("ident", "a thimac id")
             label = self.expect("string", "a token label")
             self.expect("semi", "';'")
-            self.positions[("schedule", len(self.schedule))] = (at.line, at.col)
-            self.schedule.append(Injection(tick, target.text,
-                                           _unescape(label.text)))
+            self.at[("schedule", len(self.schedule))] = at
+            self.schedule.append(Injection(tick, target, _unescape(label)))
 
     def build(self) -> ModelBundle:
         model = StaticModel(self.thimacs, self.flows, self.triggers, self.name)
@@ -480,8 +561,16 @@ def parse(text: str, file: str = "<input>") -> ParseResult:
     The bundle is present exactly when no error-severity diagnostics
     were produced; warnings alone do not suppress it.
     """
-    tokens, diags = _lex(text, file)
-    parser = _Parser(tokens, file, diags)
+    positions = _Positions(text, file)
+    scanned = _scan(text)
+    if scanned is None:
+        tokens, diags = _lex(text, file)
+        positions.tokens = tokens
+        kinds = [tok.kind for tok in tokens]
+        texts = [tok.text for tok in tokens]
+    else:
+        (kinds, texts), diags = scanned, []
+    parser = _Parser(kinds, texts, positions, diags)
     try:
         parser.parse_document()
     except _ParseFailure:
@@ -489,7 +578,7 @@ def parse(text: str, file: str = "<input>") -> ParseResult:
     if diags:
         return ParseResult(None, diags)
     bundle = parser.build()
-    diags.extend(validate_model(bundle, file, parser.positions))
+    diags.extend(validate_model(bundle, file, positions))
     if has_errors(diags):
         return ParseResult(None, diags)
     return ParseResult(bundle, diags)

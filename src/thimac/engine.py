@@ -87,7 +87,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import Optional
+from typing import Optional, Sequence
 
 from .dsl import _escape, is_identifier, read_string
 from .model import (
@@ -372,7 +372,7 @@ def _inject(prog: Program, arrivals, config: Configuration):
     return new
 
 
-def _open_tick(prog: Program, config: Configuration, new, labels: list):
+def _open_tick(prog: Program, config: Configuration, new, labels: tuple):
     """Resolve the pending instances of the tick after `config`, with
     the events the injected tokens `new` pend, by priority, then subject
     (none first, then by rank in `labels`, then one with no live token),
@@ -480,7 +480,7 @@ def _fire(prog: Program, starts, config: Configuration, new, opening):
 # ---------------------------------------------------------------------------
 
 
-def _ranked(pairs, labels: list) -> tuple:
+def _ranked(pairs, labels: Sequence) -> tuple:
     """(event, label) pairs flattened to (event, rank, ...), a rank
     being an index into `labels`: None stays None and a label with no
     rank becomes -1."""
@@ -491,7 +491,7 @@ def _ranked(pairs, labels: list) -> tuple:
     return tuple(flat)
 
 
-def _labelled(ranked: tuple, labels: list) -> list:
+def _labelled(ranked: tuple, labels: tuple) -> list:
     """The (event, label) pairs of a `_ranked` tuple."""
     flat = iter(ranked)
     return [(eid, rank if rank is None else labels[rank])
@@ -526,14 +526,17 @@ def _look_up(bundle: ModelBundle, config: Configuration):
     injected tokens and the table's entry, None when unrecorded."""
     prog = compile(bundle)
     injections = bundle.arrivals.get(config.tick + 1)
-    new = _inject(prog, injections, config) if injections else {}
     state, labels = config.ranked or _rank(config)
+    if not injections:
+        key = (state, (), bundle._initial_key)
+        return key, labels, {}, prog.ticks.get(key)
+    new = _inject(prog, injections, config)
     key = (state, tuple([tok.thimac for tok in new.values()]),
            bundle._initial_key)
-    return key, [*labels, *new], new, prog.ticks.get(key)
+    return key, (*labels, *new), new, prog.ticks.get(key)
 
 
-def _record(prog: Program, key, labels: list, opening, cfg: Configuration,
+def _record(prog: Program, key, labels: tuple, opening, cfg: Configuration,
             fired):
     """Record under `key` the tick that opened as `opening` and fired
     into `cfg`, by rank: the opening's bindings, (thimac, stage) of each
@@ -564,7 +567,7 @@ def _record(prog: Program, key, labels: list, opening, cfg: Configuration,
     object.__setattr__(cfg, "ranked", (state, live))
 
 
-def _replay(config: Configuration, labels: list, new, entry):
+def _replay(config: Configuration, labels: tuple, new, entry):
     """The next configuration and trace entry of the tick after
     `config`, with its injected tokens `new`, recorded as `entry`, with
     ranks read back as `labels`; the configuration carries the entry's

@@ -15,10 +15,30 @@ import operator
 import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
+
+
+class cached_value:
+    """A method read as an attribute and computed once per instance, as
+    `functools.cached_property`, which on Python 3.11 and older takes a
+    lock on every first read.  The value goes into the instance's
+    `__dict__`, where later reads find it before this non-data
+    descriptor; a method that raises stores nothing."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class ActionKind(Enum):
@@ -185,7 +205,7 @@ class Thimac:
         """Declared starting value: a timer's duration, else `init`."""
         return self.duration if self.kind == ThimacKind.TIMER else self.init
 
-    @cached_property
+    @cached_value
     def effective_actions(self) -> frozenset:
         if self.is_store:
             return frozenset({ActionKind.CREATE})
@@ -199,7 +219,7 @@ class FlowEdge:
     src: ActionRef
     dst: ActionRef
 
-    @cached_property
+    @cached_value
     def sort_key(self) -> tuple:
         """The texts of source and target, which order flows in
         canonical form."""
@@ -215,7 +235,7 @@ class TriggerEdge:
     effect: Optional[Effect] = None
     guard: Guard = ()
 
-    @cached_property
+    @cached_value
     def sort_key(self) -> tuple:
         """The texts of source, target, effect and guard, which order
         triggers in canonical form and in firing order."""
@@ -259,16 +279,16 @@ class StaticModel:
         """Read-only view from id to thimac."""
         return MappingProxyType(self._by_id)
 
-    @cached_property
+    @cached_value
     def _by_id(self) -> dict:
         return {t.id: t for t in self.thimacs}
 
-    @cached_property
+    @cached_value
     def _projections(self) -> dict:
         # `behavior.project_config`'s plans, by projected ids
         return {}
 
-    @cached_property
+    @cached_value
     def _edges_from(self) -> tuple:
         # for flows, then triggers: source -> target -> edge indices
         def table(edges):
@@ -278,7 +298,7 @@ class StaticModel:
             return out
         return table(self.flows), table(self.triggers)
 
-    @cached_property
+    @cached_value
     def _event_infos(self) -> dict:
         # the key holds the name, which every region names as its
         # parent, and the edge order, which induced regions keep
@@ -369,7 +389,7 @@ class ModelBundle:
         rest = [e.id for e in self.events if e.id not in seen]
         return tuple(listed + rest)
 
-    @cached_property
+    @cached_value
     def _program(self) -> "Program":
         # bundles made by dataclasses.replace share the model, events,
         # behavior and priority, so they share the model's last program
@@ -380,7 +400,7 @@ class ModelBundle:
             program = cache["_program"] = Program(self)
         return program
 
-    @cached_property
+    @cached_value
     def starts(self) -> Mapping:
         """Store id -> its start for `init`, resets and timer starts (the
         override, else the declared one); raises TmError for overrides
@@ -392,13 +412,13 @@ class ModelBundle:
         return MappingProxyType({tid: self.initial.get(tid, t.start)
                                  for tid, t in tmap.items() if t.is_store})
 
-    @cached_property
+    @cached_value
     def _initial_key(self) -> tuple:
         """The overrides as the tick table keys them, once `starts` accepts them."""
         self.starts
         return tuple(self.initial.items())
 
-    @cached_property
+    @cached_value
     def arrivals(self) -> dict:
         """Tick -> the injections scheduled for it, in schedule order;
         raises TmError for a schedule `validate_model` rejects."""
@@ -411,7 +431,7 @@ class ModelBundle:
             table.setdefault(inj.tick, []).append(inj)
         return table
 
-    @cached_property
+    @cached_value
     def last_arrival(self) -> int:
         """The last tick with an injection; 0 for an empty schedule."""
         return max(self.arrivals, default=0)
@@ -825,13 +845,16 @@ def validate_model(bundle, file: str = "<model>", positions=None):
     """Structural checks; returns a list of Diagnostics.
 
     Accepts either a ModelBundle or a bare StaticModel (wiring checks
-    only).  `positions`, when given, maps entity keys such as
+    only).  `positions`, when given, is read only through
+    `positions.get(key, (0, 0))`: it maps entity keys such as
     ("thimac", id), ("flow", index), ("trigger", index), ("event", id),
     ("behavior", index), ("priority", index), ("initial", id),
     ("schedule", index) to (line, col) pairs so parsed models report
-    source locations.  Names must be identifiers as the text format
-    reads them (an empty model name stands for `unnamed`).  A clean
-    verdict on all but `initial` and `schedule` is kept for `compile`.
+    source locations.  `dsl.parse` passes an object that finds a place
+    only when a diagnostic asks for it.  Names must be identifiers as
+    the text format reads them (an empty model name stands for
+    `unnamed`).  A clean verdict on all but `initial` and `schedule` is
+    kept for `compile`.
     """
     # the text format's lexical rules live in dsl, which imports this module
     from .dsl import GUARD_WORDS, ends_in_action, is_identifier

@@ -2,6 +2,9 @@
 
 import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from thimac import (
     ActionKind,
     ActionRef,
@@ -20,7 +23,9 @@ from thimac import (
     E_UNRESOLVED_REF,
     SEV_WARNING,
 )
-from thimac.dsl import parse, parse_file, serialize
+from thimac.dsl import _lex, _scan, parse, parse_file, read_text, serialize
+
+from test_lex_pins import EDGE_PINS, FIXTURE_PINS, FIXTURES
 
 
 MINI = """
@@ -115,6 +120,44 @@ def test_thimac_shapes():
     assert tmap["stuck"].init is False
     assert tmap["env"].actions == frozenset({ActionKind.RELEASE,
                                              ActionKind.TRANSFER})
+
+
+def assert_scan_agrees(text):
+    """`_scan` defers to `_lex` exactly where `_lex` reports a bad
+    character, and otherwise lists `_lex`'s kinds and texts."""
+    scanned = _scan(text)
+    tokens, diags = _lex(text, "<t>")
+    assert (scanned is None) == bool(diags)
+    if scanned is not None:
+        assert scanned == ([t.kind for t in tokens], [t.text for t in tokens])
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_PINS))
+def test_scan_agrees_with_lex_on_fixtures(name):
+    assert_scan_agrees(read_text(FIXTURES / name))
+
+
+@pytest.mark.parametrize("text", [pin[0] for pin in EDGE_PINS],
+                         ids=[repr(pin[0]) for pin in EDGE_PINS])
+def test_scan_agrees_with_lex_on_edge_texts(text):
+    assert_scan_agrees(text)
+
+
+# The format's punctuation, keywords and blanks, a negative int, and
+# what the lexer reports: a form feed, an Arabic-Indic digit, a lone
+# '"', '.', '!' or '-', and a backslash.
+SCAN_PIECES = st.sampled_from([
+    "{", "}", "[", "]", ";", ",", ":", "->", "..", "=", "!=", "<", "<=",
+    ">", ">=", "#", '"', '"s"', '"a\\"b"', ".", "!", "-", "\\", "-1",
+    "0", "42", "model", "thimac", "kind", "when", "not", "expired",
+    "M.block", "a.b.create", "_x", " ", "\t", "\r", "\n", "\x0c",
+    "\u0663"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(SCAN_PIECES, max_size=30).map("".join))
+def test_scan_agrees_with_lex(text):
+    assert_scan_agrees(text)
 
 
 def test_missing_model_header():

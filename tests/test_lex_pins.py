@@ -112,6 +112,24 @@ def test_edge_tokens_are_pinned(text, tokens, diags):
     assert rows(text) == (tokens, diags)
 
 
+def test_a_parse_leaves_no_cycle_behind():
+    # the fixtures, the FSM one failing at its first word, a stray
+    # character, and a duplicate id that `validate_model` positions
+    door = read_text(FIXTURES / "door.tm")
+    texts = [read_text(FIXTURES / name) for name in sorted(FIXTURE_PINS)]
+    texts += [door.replace("kind", "kind $", 1),
+              door + "thimac used kind sink { }\n"]
+    gc.collect()
+    gc.disable()
+    try:
+        results = [parse(text) for text in texts]
+        assert [r.ok for r in results] == [True, False, True, True,
+                                           False, False]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _parse_compile_and_run():
     result = parse(read_text(FIXTURES / "assembly_line.tm"))
     assert result.ok

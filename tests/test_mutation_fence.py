@@ -6,6 +6,7 @@ model replays the first one exactly.
 The mutants are drawn from fixed seeds, so every run checks the same
 inputs."""
 
+import hashlib
 import random
 import re
 from pathlib import Path
@@ -124,3 +125,25 @@ def test_mutants_fail_only_with_diagnostics(name, tmp_path, capsys):
             assert "Traceback" not in err
     # the edits are mild enough that some mutants still parse
     assert accepted >= MUTANTS // 10
+
+
+# sha256 of repr([(accepted, [str(d) for d in diagnostics]), ...]) over
+# each model fixture's mutants, which pins every diagnostic position
+# `parse` gives, from the lexer, the parser and `validate_model` alike
+PARSE_PINS = {
+    "assembly_line.tm": "1b1e4cf00127f734c8201b9aa3caf247"
+                        "48e79a98d5e547d82e81dffbdd23c084",
+    "door.tm": "d3c05b42059b221d5a48617759f485e3"
+               "a96160f2fb6f6c095e67bc1d0f9f5db2",
+    "phone_line.tm": "a8c9d752d00513f9e4425b4546492f66"
+                     "733e0df3a16dc8b829a901601c637182",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_PINS))
+def test_mutant_parse_diagnostics_are_pinned(name):
+    rows = []
+    for text in mutants(name):
+        result = parse(text)
+        rows.append((result.ok, [str(d) for d in result.diagnostics]))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PARSE_PINS[name]
