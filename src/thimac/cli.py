@@ -16,7 +16,6 @@ input.  Diagnostics go to stderr, one per line; results go to stdout.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 from . import dsl
@@ -90,10 +89,9 @@ def _parse_domain(parser, spec: str) -> ComponentStateDecl:
                      f"or NAME=a,b,c")
     if ".." in body:
         lo_text, _, hi_text = body.partition("..")
-        # ASCII as in models: int() alone takes `_`, blanks, other digits
-        if not all(re.fullmatch(r"-?[0-9]+", t) for t in (lo_text, hi_text)):
+        lo, hi = dsl.read_int(lo_text), dsl.read_int(hi_text)
+        if lo is None or hi is None:
             parser.error(f"bad integer range in {spec!r}")
-        lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             parser.error(f"empty range in {spec!r}")
         return ComponentStateDecl(name, range(lo, hi + 1))

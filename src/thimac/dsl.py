@@ -38,11 +38,11 @@ with the readers here.
 error-severity diagnostics were produced.  `serialize` emits the
 canonical form, which `parse` maps back to the same bundle.
 
-`parse` reads token kinds and texts from one `findall` scan, without
-their places.  `_lex` is the one lexer that places tokens: the
-line-based formats read it, and `parse` runs it over the text once,
-only when a diagnostic names a token or a character no token starts
-with is present.
+The tokens are one compiled pattern and one kind table.  `parse` reads
+kinds and texts from one `findall` scan of the pattern, without their
+places; `_lex` walks it with `finditer` and places tokens.  The
+line-based formats read `_lex`; `parse` runs it once, only when a
+diagnostic names a token or a character no token starts with is present.
 """
 
 from __future__ import annotations
@@ -84,40 +84,37 @@ _EFFECTS = {e.value: e for e in Effect}
 # named in a guard.
 GUARD_WORDS = frozenset({"not", "expired"})
 
-# Token kinds and their patterns.  A scan step takes the blanks before a
-# token and then exactly one alternative, so one regex step yields one
-# token, newline, comment or bad character.  `ident` comes first because
-# it is the commonest; `bad` takes any character no token can start
-# with.  The blanks are taken greedily and no alternative starts with a
-# blank, so the prefix never backtracks; at end of input `end` matches
-# the blanks that are left.
+# The token alternatives, in the pattern's one group after the blanks:
+# each regex step yields one token, newline, comment or bad character.
+# The identifier comes first as the commonest; the last takes any
+# character no token starts with.  Scans end before the text's trailing
+# blanks, which no token ends with: a search in a trailing run would fail
+# and restart at each of its blanks, in time quadratic in its length.
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*"
 _STRING = r'"(?:[^"\\\n]|\\.)*"'
+_INT = r"-?[0-9]+"
 _TOKEN_PATTERNS = (
-    ("ident", _IDENT),
-    ("newline", r"\n"),
-    ("string", _STRING),
-    ("comment", r"#[^\n]*"),
-    ("arrow", r"->"),
-    ("dotdot", r"\.\."),
-    ("int", r"-?[0-9]+"),
-    ("cmp", r"!=|<=|>=|<|>|="),
-    ("lbrace", r"\{"),
-    ("rbrace", r"\}"),
-    ("lbracket", r"\["),
-    ("rbracket", r"\]"),
-    ("comma", r","),
-    ("semi", r";"),
-    ("colon", r":"),
-    ("bad", r"[^ \t\r]"),
-    ("end", r"\Z"),
+    _IDENT, r"\n", _STRING, r"#[^\n]*", r"->", r"\.\.", _INT,
+    r"!=|<=|>=|<|>|=", r"\{", r"\}", r"\[", r"\]", r",", r";", r":",
+    r"[^ \t\r]",
 )
-_TOKEN_RE = re.compile("[ \t\r]*(?:" + "|".join(
-    f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_PATTERNS) + ")")
-_TOKEN_KINDS = frozenset(kind for kind, _ in _TOKEN_PATTERNS) \
-    - {"newline", "comment", "bad", "end"}
+_TOKEN_RE = re.compile("[ \t\r]*(" + "|".join(_TOKEN_PATTERNS) + ")")
+# The kind table: a text's kind by its first character, None for a
+# newline or comment, after the whole texts in `_KIND_EXACT`: a lone
+# '"', '.', '!' or '-' is a bad character, and '->' an arrow, not an int.
+_KIND_FIRST = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                    "abcdefghijklmnopqrstuvwxyz_", "ident"),
+    **dict.fromkeys("0123456789-", "int"),
+    "\n": None, "#": None, '"': "string", ".": "dotdot",
+    "!": "cmp", "<": "cmp", ">": "cmp", "=": "cmp",
+    "{": "lbrace", "}": "rbrace", "[": "lbracket", "]": "rbracket",
+    ",": "comma", ";": "semi", ":": "colon",
+}
+_KIND_EXACT = {**dict.fromkeys('".!-', "bad"), "->": "arrow"}
 _IDENT_RE = re.compile(_IDENT)
 _STRING_RE = re.compile(_STRING)
+_INT_RE = re.compile(_INT)
 
 
 class Token(NamedTuple):
@@ -149,48 +146,31 @@ def _lex(text: str, file: str):
     # tuple.__new__ skips NamedTuple's Python-level constructor
     new = tuple.__new__
     append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind in _TOKEN_KINDS:
-            append(new(Token, (kind, m[kind], line,
-                               m.start(kind) - line_start + 1)))
-        elif kind == "newline":
-            line += 1
-            line_start = m.end()
+    exact, first = _KIND_EXACT.get, _KIND_FIRST.get
+    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip(" \t\r"))):
+        found = m[1]
+        kind = exact(found) or first(found[0], "bad")
+        if kind is None:
+            if found == "\n":
+                line += 1
+                line_start = m.end()
         elif kind == "bad":
-            diags.append(Diagnostic(file, line, m.start(kind) - line_start + 1,
+            diags.append(Diagnostic(file, line, m.start(1) - line_start + 1,
                                     E_SYNTAX,
-                                    f"unexpected character {m[kind]!r}"))
+                                    f"unexpected character {found!r}"))
+        else:
+            append(new(Token, (kind, found, line,
+                               m.start(1) - line_start + 1)))
     append(new(Token, ("eof", "", line, len(text) - line_start + 1)))
     return tokens, diags
-
-
-# `_scan`'s pattern: `_TOKEN_RE`'s blanks and alternatives, but for
-# `end`, in one group, so `findall` lists every token, newline, comment
-# and bad character as its text.
-_SCAN_RE = re.compile("[ \t\r]*(" + "|".join(
-    pattern for kind, pattern in _TOKEN_PATTERNS if kind != "end") + ")")
-# A text's kind by its first character; None for a newline or comment.
-# The whole texts in `_SCAN_EXACT` are read first: a lone '"', '.', '!'
-# or '-' is a bad character, and '-' starts an int unless it is '->'.
-_SCAN_FIRST = {
-    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                    "abcdefghijklmnopqrstuvwxyz_", "ident"),
-    **dict.fromkeys("0123456789-", "int"),
-    "\n": None, "#": None, '"': "string", ".": "dotdot",
-    "!": "cmp", "<": "cmp", ">": "cmp", "=": "cmp",
-    "{": "lbrace", "}": "rbrace", "[": "lbracket", "]": "rbracket",
-    ",": "comma", ";": "semi", ":": "colon",
-}
-_SCAN_EXACT = {**dict.fromkeys('".!-', "bad"), "->": "arrow"}
 
 
 def _scan(text: str):
     """The kinds and texts of `text`'s tokens as `_lex` lists them, eof
     last, without their places; None when a character no token starts
     with is present, so that `_lex` reports it."""
-    found = _SCAN_RE.findall(text)
-    exact, first = _SCAN_EXACT.get, _SCAN_FIRST.get
+    found = _TOKEN_RE.findall(text, 0, len(text.rstrip(" \t\r")))
+    exact, first = _KIND_EXACT.get, _KIND_FIRST.get
     kinds = [exact(t) or first(t[0], "bad") for t in found]
     if "bad" in kinds:
         return None
@@ -238,6 +218,14 @@ def read_string(text: str) -> Optional[str]:
     if _STRING_RE.fullmatch(text) is None:
         return None
     return _unescape(text)
+
+
+def read_int(text: str) -> Optional[int]:
+    """The value of `text` when it is one whole integer token (ASCII
+    digits after an optional `-`; no `+`, `_` or blanks), else None."""
+    if _INT_RE.fullmatch(text) is None:
+        return None
+    return int(text)
 
 
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t"}
@@ -598,16 +586,17 @@ def read_text(path) -> str:
     """A file's UTF-8 text with line ends as text mode reads them.
     Raises OSError, or UnreadableInput when the bytes are not UTF-8."""
     with open(path, "rb") as handle:
-        data = handle.read()
+        # no multibyte UTF-8 sequence holds a CR or LF byte, so the bad
+        # byte is placed on the text's own line ends
+        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as err:
         before = data[:err.start].decode("utf-8")
         line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
         raise UnreadableInput(Diagnostic(
             str(path), line, col, E_SYNTAX, f"not UTF-8 text (byte "
             f"0x{data[err.start]:02x}: {err.reason})")) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_file(path) -> ParseResult:

@@ -89,7 +89,7 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Optional, Sequence
 
-from .dsl import _escape, is_identifier, read_string
+from .dsl import _escape, is_identifier, read_int, read_string
 from .model import (
     STAGE_DEPTH,
     STORE_KINDS,
@@ -711,10 +711,8 @@ def parse_trace_records(text: str, file: str = "<trace>"):
         if len(parts) != 4:
             bad(0, "record needs 4 tab-separated fields")
         tick_text, event, subject_text, bk = parts
-        # int() alone would take signs, blanks, `_` and non-ASCII digits
-        tick = (int(tick_text) if tick_text.isascii() and tick_text.isdigit()
-                else 0)
-        if tick < 1:
+        tick = read_int(tick_text)
+        if tick is None or tick < 1:
             bad(0, f"bad tick {tick_text!r}")
         if not event:
             bad(1, "empty event")

@@ -1,6 +1,8 @@
 """Text format: lexing, parsing, diagnostics, canonical roundtrip."""
 
 import dataclasses
+import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,11 +124,61 @@ def test_thimac_shapes():
                                              ActionKind.TRANSFER})
 
 
+# A reference lexer that shares no table with `dsl`: one named group
+# per token kind, each match's kind read from `lastgroup`, and `end`
+# taking the blanks left at end of input.
+REFERENCE_PATTERNS = (
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*"),
+    ("newline", r"\n"),
+    ("string", r'"(?:[^"\\\n]|\\.)*"'),
+    ("comment", r"#[^\n]*"),
+    ("arrow", r"->"),
+    ("dotdot", r"\.\."),
+    ("int", r"-?[0-9]+"),
+    ("cmp", r"!=|<=|>=|<|>|="),
+    ("lbrace", r"\{"),
+    ("rbrace", r"\}"),
+    ("lbracket", r"\["),
+    ("rbracket", r"\]"),
+    ("comma", r","),
+    ("semi", r";"),
+    ("colon", r":"),
+    ("bad", r"[^ \t\r]"),
+    ("end", r"\Z"),
+)
+REFERENCE_RE = re.compile("[ \t\r]*(?:" + "|".join(
+    f"(?P<{kind}>{pattern})" for kind, pattern in REFERENCE_PATTERNS) + ")")
+
+
+def reference_lex(text):
+    """The (kind, text, line, col) of each token, eof last, and the
+    (line, col, code, message) of each bad character."""
+    tokens, bad = [], []
+    line, line_start = 1, 0
+    for m in REFERENCE_RE.finditer(text):
+        kind = m.lastgroup
+        col = m.start(kind) - line_start + 1
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind == "bad":
+            bad.append((line, col, E_SYNTAX,
+                        f"unexpected character {m[kind]!r}"))
+        elif kind not in ("comment", "end"):
+            tokens.append((kind, m[kind], line, col))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
+    return tokens, bad
+
+
 def assert_scan_agrees(text):
-    """`_scan` defers to `_lex` exactly where `_lex` reports a bad
-    character, and otherwise lists `_lex`'s kinds and texts."""
+    """`_lex` places the reference lexer's tokens and reports its bad
+    characters; `_scan` defers to `_lex` exactly where `_lex` reports a
+    bad character, and otherwise lists `_lex`'s kinds and texts."""
     scanned = _scan(text)
     tokens, diags = _lex(text, "<t>")
+    assert ([tuple(t) for t in tokens],
+            [(d.line, d.col, d.code, d.message) for d in diags]) \
+        == reference_lex(text)
     assert (scanned is None) == bool(diags)
     if scanned is not None:
         assert scanned == ([t.kind for t in tokens], [t.text for t in tokens])
@@ -145,19 +197,35 @@ def test_scan_agrees_with_lex_on_edge_texts(text):
 
 # The format's punctuation, keywords and blanks, a negative int, and
 # what the lexer reports: a form feed, an Arabic-Indic digit, a lone
-# '"', '.', '!' or '-', and a backslash.
+# '"', '.', '!' or '-', a backslash, and NEL, LINE SEPARATOR and a byte
+# order mark, which `str.splitlines` or a BOM-aware reader would not
+# take as characters.
 SCAN_PIECES = st.sampled_from([
     "{", "}", "[", "]", ";", ",", ":", "->", "..", "=", "!=", "<", "<=",
     ">", ">=", "#", '"', '"s"', '"a\\"b"', ".", "!", "-", "\\", "-1",
     "0", "42", "model", "thimac", "kind", "when", "not", "expired",
     "M.block", "a.b.create", "_x", " ", "\t", "\r", "\n", "\x0c",
-    "\u0663"])
+    "\u0663", "\x85", "\u2028", "\ufeff"])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(SCAN_PIECES, max_size=30).map("".join))
 def test_scan_agrees_with_lex(text):
     assert_scan_agrees(text)
+
+
+def test_trailing_blanks_scan_in_linear_time():
+    # a search restarted at each blank of a trailing run took time
+    # quadratic in its length: some 10 s for these 21,000 blanks
+    text = "model m" + " \t\r" * 7000
+    start = time.perf_counter()
+    assert parse(text).ok
+    tokens, diags = _lex(text, "<t>")
+    assert time.perf_counter() - start < 1
+    assert [tuple(t) for t in tokens] == [
+        ("ident", "model", 1, 1), ("ident", "m", 1, 7),
+        ("eof", "", 1, len(text) + 1)]
+    assert diags == []
 
 
 def test_missing_model_header():
@@ -182,6 +250,16 @@ def test_parse_file_reports_non_utf8_bytes(tmp_path):
     assert not result.ok
     assert [str(d) for d in result.diagnostics] == [
         f"{bad}:2:3: E_SYNTAX not UTF-8 text (byte 0xff: invalid start byte)"]
+
+
+@pytest.mark.parametrize("newline", [b"\r", b"\r\n", b"\n"],
+                         ids=["cr", "crlf", "lf"])
+def test_a_bad_byte_is_placed_on_text_mode_line_ends(tmp_path, newline):
+    # a lone CR ends a line as CRLF and LF do, in diagnostics too
+    bad = tmp_path / "bad.tm"
+    bad.write_bytes(b"model m" + newline + b"thimac \xff x\n")
+    assert [str(d) for d in parse_file(bad).diagnostics] == [
+        f"{bad}:2:8: E_SYNTAX not UTF-8 text (byte 0xff: invalid start byte)"]
 
 
 def test_stray_character():
