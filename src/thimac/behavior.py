@@ -27,6 +27,7 @@ from .model import (
     E_EMPTY_DOMAIN,
     E_UNRESOLVED_REF,
     ModelBundle,
+    TOKEN_KINDS,
     ThimacKind,
     TmError,
     block_flag_id,
@@ -154,12 +155,16 @@ def _busy(config: Configuration) -> set:
 def machine_status(bundle: ModelBundle, config: Configuration,
                    thimac: str) -> str:
     """Blocked when the machine's block flag is raised, busy when a
-    token sits at its process action, idle otherwise.  By convention
-    the block flag of thimac `M` is the flag `M.block` (`validate_model`
-    rejects an `M.block` of another kind); without one, never blocked."""
-    if config.flags.get(block_flag_id(thimac)):
-        return MACHINE_BLOCKED
-    return MACHINE_BUSY if thimac in _busy(config) else MACHINE_IDLE
+    token sits at its process action, idle otherwise, as `project_config`
+    projects it.  By convention the block flag of thimac `M` is the flag
+    `M.block` (`validate_model` rejects an `M.block` of another kind);
+    without one, never blocked.  Raises TmError (E_UNRESOLVED_REF) for
+    an id that names no token thimac."""
+    t = bundle.model.thimac_map().get(thimac)
+    if t is None or t.kind not in TOKEN_KINDS:
+        raise TmError(E_UNRESOLVED_REF,
+                      f"{thimac!r} names no token thimac, so it has no status")
+    return project_config(bundle, (thimac,), config)[0]
 
 
 def project_config(bundle: ModelBundle, projection, config: Configuration):

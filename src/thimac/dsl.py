@@ -167,18 +167,19 @@ def _lex(text: str, file: str):
 
 def _scan(text: str):
     """The kinds and texts of `text`'s tokens as `_lex` lists them, eof
-    last, without their places; None when a character no token starts
-    with is present, so that `_lex` reports it."""
+    last, without their places, and whether it dropped a character no
+    token starts with, which `_lex` then reports."""
     found = _TOKEN_RE.findall(text, 0, len(text.rstrip(" \t\r")))
     exact, first = _KIND_EXACT.get, _KIND_FIRST.get
     kinds = [exact(t) or first(t[0], "bad") for t in found]
-    if "bad" in kinds:
-        return None
+    dropped = "bad" in kinds
+    if dropped:
+        kinds = [None if kind == "bad" else kind for kind in kinds]
     texts = list(compress(found, kinds))
     kinds = list(compress(kinds, kinds))
     kinds.append("eof")
     texts.append("")
-    return kinds, texts
+    return kinds, texts, dropped
 
 
 def lex_lines(text: str, file: str):
@@ -550,14 +551,10 @@ def parse(text: str, file: str = "<input>") -> ParseResult:
     were produced; warnings alone do not suppress it.
     """
     positions = _Positions(text, file)
-    scanned = _scan(text)
-    if scanned is None:
-        tokens, diags = _lex(text, file)
-        positions.tokens = tokens
-        kinds = [tok.kind for tok in tokens]
-        texts = [tok.text for tok in tokens]
-    else:
-        (kinds, texts), diags = scanned, []
+    kinds, texts, dropped = _scan(text)
+    diags = []
+    if dropped:
+        positions.tokens, diags = _lex(text, file)
     parser = _Parser(kinds, texts, positions, diags)
     try:
         parser.parse_document()

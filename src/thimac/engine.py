@@ -3,8 +3,8 @@
 A configuration holds run state only: completed ticks, store values,
 where each token rests (keyed by label, oldest first: a token's age is
 its position, by tick and then schedule order) and the pending event
-instances for the next tick.  A token's arrival tick and a timer's
-duration are the bundle's.  Each step:
+instances for the next tick.  A token's arrival tick is the schedule's
+and a timer's duration the compiled program's.  Each step:
 
 1. applies the injections scheduled for the new tick (a token lands at
    the target's receive action when it has one, else at release) and
@@ -53,12 +53,11 @@ Runs revisit few ticks once token names are set aside, so the compiled
 look the coming tick up in once its arrivals are injected.  The key
 replaces each token label by the token's rank, the live tokens in
 injection order and then the tick's arrivals.  It holds the state key
-of the configuration, the arrival thimacs and the bundle's initial
-overrides, which resets and starts read; the state key holds the live
-tokens' places, the pending instances in the order they were pended,
-with subjects as ranks (a subject with no live token can only lapse,
-so all such share one mark), and the store values.  A rank may stand
-for a label because a label only tells tokens apart.
+of the configuration and the arrival thimacs; the state key holds the
+live tokens' places, the pending instances in the order they were
+pended, with subjects as ranks (a subject with no live token can only
+lapse, so all such share one mark), and the store values.  A rank may
+stand for a label because a label only tells tokens apart.
 An entry, recorded only by `step`, is one whole fired tick by rank:
 the opening's bindings, where each ranked token rests after it, store
 tables ready to copy, the next pending instances and the firings, one
@@ -75,8 +74,9 @@ A configuration that `step` builds from a recorded tick (a hit, or a
 miss it has just recorded) carries its state key and its live labels
 (`Configuration.ranked`), so the look-up after it skips the token scan
 and the key build; any other configuration, such as `init`'s or a
-copy, is ranked in full.  A configuration's tables must therefore not
-change once `step` returns it.
+copy, is ranked in full, once its store tables are checked against the
+program's stores.  A configuration's tables must therefore not change
+once `step` returns it.
 
 A run ends at quiescence: nothing pending, no injections left, and no
 timer still counting.
@@ -115,7 +115,8 @@ TICK_TABLE_PLACES = 5000
 
 # enum members read once: reading one off its class costs about three
 # times an instance attribute, on every guard check and effect
-_COUNTER, _FLAG, _SOURCE = ThimacKind.COUNTER, ThimacKind.FLAG, ThimacKind.SOURCE
+_COUNTER, _FLAG, _TIMER = ThimacKind.COUNTER, ThimacKind.FLAG, ThimacKind.TIMER
+_SOURCE = ThimacKind.SOURCE
 _INC, _DEC, _SET, _CLEAR, _RESET = (Effect.INC, Effect.DEC, Effect.SET,
                                     Effect.CLEAR, Effect.RESET)
 _SUBJECTLESS, _FLOW = SubjectMode.SUBJECTLESS, SubjectMode.FLOW
@@ -346,14 +347,13 @@ def _apply_triggers(info: EventInfo, cfg: Configuration, starts):
 
 
 def init(bundle: ModelBundle) -> Configuration:
-    """Fresh configuration at tick 0: each store at its value in
-    `bundle.starts`, no tokens, nothing pending.  Raises TmError with
-    `validate_model`'s first error in the bundle's program or initial
-    overrides; the schedule is checked once a run reads it."""
-    tmap = compile(bundle).thimacs
+    """Fresh configuration at tick 0: each store at its start in the
+    compiled program, no tokens, nothing pending.  Raises TmError as
+    `compile`; the schedule is checked once a run reads it."""
+    prog = compile(bundle)
     stores = {kind: {} for kind in STORE_KINDS}
-    for tid, value in bundle.starts.items():
-        stores[tmap[tid].kind][tid] = value
+    for tid, value in prog.starts.items():
+        stores[prog.thimacs[tid].kind][tid] = value
     return Configuration(0, stores[ThimacKind.COUNTER], stores[ThimacKind.FLAG],
                          dict.fromkeys(stores[ThimacKind.TIMER], TimerState()),
                          {}, {})
@@ -403,10 +403,10 @@ def _next(config: Configuration, new, counters, flags, timers, ranked=None):
                           ranked)
 
 
-def _fire(prog: Program, starts, config: Configuration, new, opening):
+def _fire(prog: Program, config: Configuration, new, opening):
     """Fire the opened tick after `config` into the next configuration,
-    built once from fresh store tables and token copies, with resets and
-    starts rewinding to `starts`; returns it with the trace entry."""
+    built once from fresh store tables and token copies; returns it with
+    the trace entry."""
     cfg = _next(config, new, dict(config.counters), dict(config.flags),
                 dict(config.timers))
     fired, written, cofired = [], set(), set()
@@ -435,7 +435,7 @@ def _fire(prog: Program, starts, config: Configuration, new, opening):
             tok = cfg.tokens[label]
             tok.thimac = thimac
             tok.stage = stage
-        _apply_triggers(binding.info, cfg, starts)
+        _apply_triggers(binding.info, cfg, prog.starts)
         fired.append(_fired(eid, binding.subject,
                             binding.info.event.bookkeeping))
         written |= binding.write_set
@@ -516,23 +516,46 @@ def _rank(config: Configuration):
             len(timers), *timers, *timers.values()), tuple(labels)
 
 
+def _check_stores(prog: Program, config: Configuration):
+    """Raise E_UNRESOLVED_REF unless the counter, flag and timer tables
+    of `config` hold exactly the program's stores of each kind, naming
+    the first store missing, else the first id too many."""
+    tables = {_COUNTER: config.counters, _FLAG: config.flags,
+              _TIMER: config.timers}
+    for tid in prog.starts:
+        kind = prog.thimacs[tid].kind
+        if tid not in tables[kind]:
+            raise TmError(E_UNRESOLVED_REF,
+                          f"configuration has no {kind.value} {tid}")
+    for kind, table in tables.items():
+        for tid in table:
+            t = prog.thimacs.get(tid)
+            if t is None or t.kind is not kind:
+                raise TmError(E_UNRESOLVED_REF,
+                              f"configuration holds {tid!r}, which is no "
+                              f"{kind.value} of the model")
+
+
 def _look_up(bundle: ModelBundle, config: Configuration):
     """Inject the arrivals of the tick after `config`, key the tick and
-    look it up in the program's tick table.  Returns the key (the state
-    key `config` carries or `_rank` builds, the arrival thimacs and the
-    initial overrides as the bundle keeps them once `bundle.starts`
-    accepts them, so a hit and a miss raise alike), the labels by rank
-    (the live tokens in injection order, then the arrivals), the
-    injected tokens and the table's entry, None when unrecorded."""
+    look it up in the program's tick table, checking the stores of a
+    configuration that carries no key.  Returns the key (the state
+    key `config` carries or `_rank` builds, and the arrival thimacs),
+    the labels by rank (the live tokens in injection order, then the
+    arrivals), the injected tokens and the table's entry, None when
+    unrecorded."""
     prog = compile(bundle)
     injections = bundle.arrivals.get(config.tick + 1)
-    state, labels = config.ranked or _rank(config)
+    if config.ranked is None:
+        _check_stores(prog, config)
+        state, labels = _rank(config)
+    else:
+        state, labels = config.ranked
     if not injections:
-        key = (state, (), bundle._initial_key)
+        key = (state, ())
         return key, labels, {}, prog.ticks.get(key)
     new = _inject(prog, injections, config)
-    key = (state, tuple([tok.thimac for tok in new.values()]),
-           bundle._initial_key)
+    key = (state, tuple([tok.thimac for tok in new.values()]))
     return key, (*labels, *new), new, prog.ticks.get(key)
 
 
@@ -601,7 +624,7 @@ def step(bundle: ModelBundle, config: Configuration):
         return _replay(config, labels, new, entry)
     prog = compile(bundle)
     opening = _open_tick(prog, config, new, labels)
-    cfg, trace_entry = _fire(prog, bundle.starts, config, new, opening)
+    cfg, trace_entry = _fire(prog, config, new, opening)
     _record(prog, key, labels, opening, cfg, trace_entry.fired)
     return cfg, trace_entry
 

@@ -442,6 +442,8 @@ def parse_state_mapping(text: str, file: str = "<mapping>"):
         eq = rest[0] if rest else state
         if eq.text != "=":
             bad(eq, "expected STATE = ref, ref")
+        if state.text in mapping:
+            bad(state, f"state {state.text} mapped twice")
         refs = set()
         for tok in rest[1:]:
             if tok.kind == "comma":

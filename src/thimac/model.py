@@ -275,6 +275,11 @@ class StaticModel:
         for attr in ("thimacs", "flows", "triggers"):
             object.__setattr__(self, attr, tuple(getattr(self, attr)))
 
+    def __reduce__(self):
+        # a copy or a pickle is built from the fields, without the caches
+        return StaticModel, (self.thimacs, self.flows, self.triggers,
+                             self.name)
+
     def thimac_map(self):
         """Read-only view from id to thimac."""
         return MappingProxyType(self._by_id)
@@ -379,6 +384,11 @@ class ModelBundle:
             object.__setattr__(self, attr, tuple(getattr(self, attr)))
         object.__setattr__(self, "initial", MappingProxyType(dict(self.initial)))
 
+    def __reduce__(self):
+        # as StaticModel's; a read-only mapping does not pickle
+        return ModelBundle, (self.model, self.events, self.behavior,
+                             self.priority, dict(self.initial), self.schedule)
+
     def event_map(self) -> dict:
         return {e.id: e for e in self.events}
 
@@ -391,42 +401,29 @@ class ModelBundle:
 
     @cached_value
     def _program(self) -> "Program":
-        # bundles made by dataclasses.replace share the model, events,
-        # behavior and priority, so they share the model's last program
+        # bundles made by dataclasses.replace(bundle, schedule=...) share
+        # everything else, so they share the model's last program
         cache = self.model.__dict__
         program = cache.get("_program")
-        if (program is None or program.source
-                != (self.events, self.behavior, self.priority)):
+        if program is None or program.source != _program_source(self):
             program = cache["_program"] = Program(self)
         return program
 
-    @cached_value
+    @property
     def starts(self) -> Mapping:
         """Store id -> its start for `init`, resets and timer starts (the
-        override, else the declared one); raises TmError for overrides
-        `validate_model` rejects."""
-        tmap = self._program.thimacs
-        if any(initial_problem(tmap.get(tid), tid, value)
-               for tid, value in self.initial.items()):
-            _raise_first_error(replace(self, schedule=()))
-        return MappingProxyType({tid: self.initial.get(tid, t.start)
-                                 for tid, t in tmap.items() if t.is_store})
-
-    @cached_value
-    def _initial_key(self) -> tuple:
-        """The overrides as the tick table keys them, once `starts` accepts them."""
-        self.starts
-        return tuple(self.initial.items())
+        override, else the declared one); raises TmError as `compile`."""
+        return self._program.starts
 
     @cached_value
     def arrivals(self) -> dict:
         """Tick -> the injections scheduled for it, in schedule order;
-        raises TmError for a schedule `validate_model` rejects."""
+        raises TmError for a bundle `validate_model` rejects."""
         landing, labels, table = self._program.landing, set(), {}
         for inj in self.schedule:
             if (inj.label in labels or inj.thimac not in landing
                     or not _is_int(inj.tick) or inj.tick < 1):
-                _raise_first_error(replace(self, initial={}))
+                _raise_first_error(self)
             labels.add(inj.label)
             table.setdefault(inj.tick, []).append(inj)
         return table
@@ -772,24 +769,36 @@ def _analyse(model: StaticModel, event: Event) -> EventInfo:
 # ---------------------------------------------------------------------------
 
 
+def _program_source(bundle: "ModelBundle") -> tuple:
+    """What a program compiles besides the model: events, behavior,
+    priority and each override with its type, since `1 == True` and a
+    flag may start at one but not the other."""
+    return (bundle.events, bundle.behavior, bundle.priority,
+            {tid: (type(value), value)
+             for tid, value in bundle.initial.items()})
+
+
 class Program:
-    """A bundle's schedule-independent analysis, built by `compile`: the
-    event analyses, priority ranks, chronology successors as (id,
-    co-fires?, carries the subject?) per event, the events to pend when
-    a token lands in a thimac or a timer runs out, and where a token
-    injected into a thimac lands (receive, else release).  The schedule
-    and initial overrides are read at run time instead.  `ticks` is the
-    engine's tick table, filled as bundles sharing the program run, and
-    `tick_places` counts the places it holds; like every table here it
-    holds no model, bundle or program, so no cycle forms.  Raises
-    TmError as `compile` unless the model records a clean verdict."""
+    """A bundle compiled, all but its schedule, by `compile`: the event
+    analyses, priority ranks, chronology successors as (id, co-fires?,
+    carries the subject?) per event, the events to pend when a token
+    lands in a thimac or a timer runs out, where a token injected into a
+    thimac lands (receive, else release), and `starts`, each store's
+    start.  `ticks` is the engine's tick table, filled as bundles sharing
+    the program run, and `tick_places` counts the places it holds; like
+    every table here it holds no model, bundle or program, so no cycle
+    forms.  Raises TmError as `compile` unless the model records a clean
+    verdict."""
 
     def __init__(self, bundle: "ModelBundle"):
         model = bundle.model
-        self.source = (bundle.events, bundle.behavior, bundle.priority)
+        self.source = _program_source(bundle)
         if model.__dict__.get("_verdict") != self.source:
-            _raise_first_error(replace(bundle, initial={}, schedule=()))
+            _raise_first_error(replace(bundle, schedule=()))
         self.thimacs = model._by_id
+        self.starts = MappingProxyType({
+            tid: bundle.initial.get(tid, t.start)
+            for tid, t in self.thimacs.items() if t.is_store})
         events = bundle.event_map()
         self.priority = {eid: i for i, eid in enumerate(bundle.priority_order())}
         self.info = {}
@@ -819,10 +828,9 @@ class Program:
 
 def compile(bundle: "ModelBundle") -> Program:
     """The bundle's program, built once in linear time and shared by all
-    bundles with equal model, events, behavior and priority, such as
+    bundles equal but for their schedules, such as
     `dataclasses.replace(bundle, schedule=...)`.  Raises TmError with
-    `validate_model`'s first error in model, events, chronology or
-    priority."""
+    `validate_model`'s first error in all but the schedule."""
     return bundle._program
 
 
@@ -853,8 +861,8 @@ def validate_model(bundle, file: str = "<model>", positions=None):
     source locations.  `dsl.parse` passes an object that finds a place
     only when a diagnostic asks for it.  Names must be identifiers as
     the text format reads them (an empty model name stands for
-    `unnamed`).  A clean verdict on all but `initial` and `schedule` is
-    kept for `compile`.
+    `unnamed`).  A clean verdict on all but the schedule is kept for
+    `compile`.
     """
     # the text format's lexical rules live in dsl, which imports this module
     from .dsl import GUARD_WORDS, ends_in_action, is_identifier
@@ -996,14 +1004,13 @@ def validate_model(bundle, file: str = "<model>", positions=None):
         if missing:
             emit(("priority", len(bundle.priority)), E_UNRESOLVED_REF,
                  f"priority omits {', '.join(missing)}", SEV_WARNING)
-    if not has_errors(diags):
-        model.__dict__["_verdict"] = (bundle.events, bundle.behavior,
-                                      bundle.priority)
 
     for tid, value in sorted(bundle.initial.items()):
         problem = initial_problem(tmap.get(tid), tid, value)
         if problem is not None:
             emit(("initial", tid), *problem)
+    if not has_errors(diags):
+        model.__dict__["_verdict"] = _program_source(bundle)
 
     labels = set()
     for i, inj in enumerate(bundle.schedule):

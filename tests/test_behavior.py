@@ -177,6 +177,20 @@ def test_machine_status_blocked_wins():
     assert machine_status(b, cfg, "M1") == MACHINE_BLOCKED
 
 
+@pytest.mark.parametrize("fixture, tid", [
+    ("assembly_line.tm", "nope"), ("assembly_line.tm", "B1.count"),
+    ("assembly_line.tm", "M1.block"), ("phone_line.tm", "dial.timer")],
+    ids=["unknown", "counter", "flag", "timer"])
+def test_machine_status_needs_a_token_thimac(fixture, tid):
+    # each once answered idle
+    b = parse_file(FIXTURES / fixture).bundle
+    with pytest.raises(TmError) as err:
+        machine_status(b, init(b), tid)
+    assert (err.value.code, err.value.message) == (
+        E_UNRESOLVED_REF,
+        f"{tid!r} names no token thimac, so it has no status")
+
+
 def test_project_initial_config():
     b = assembly()
     cfg = init(b)

@@ -172,16 +172,16 @@ def reference_lex(text):
 
 def assert_scan_agrees(text):
     """`_lex` places the reference lexer's tokens and reports its bad
-    characters; `_scan` defers to `_lex` exactly where `_lex` reports a
-    bad character, and otherwise lists `_lex`'s kinds and texts."""
-    scanned = _scan(text)
+    characters; `_scan` lists `_lex`'s kinds and texts and says it
+    dropped a character exactly where `_lex` reports one."""
+    kinds, texts, dropped = _scan(text)
     tokens, diags = _lex(text, "<t>")
     assert ([tuple(t) for t in tokens],
             [(d.line, d.col, d.code, d.message) for d in diags]) \
         == reference_lex(text)
-    assert (scanned is None) == bool(diags)
-    if scanned is not None:
-        assert scanned == ([t.kind for t in tokens], [t.text for t in tokens])
+    assert dropped == bool(diags)
+    assert (kinds, texts) == ([t.kind for t in tokens],
+                              [t.text for t in tokens])
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_PINS))

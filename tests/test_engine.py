@@ -733,7 +733,7 @@ def test_bundles_sharing_a_program_start_timers_at_their_own_duration(first):
     # no duration of its own
     base = timer_bundle(duration=2)
     bundles = [base, dataclasses.replace(base, initial={"tm": 7})]
-    assert model.compile(bundles[0]) is model.compile(bundles[1])
+    assert model.compile(bundles[0]) is not model.compile(bundles[1])
     expected = [run(cold(b))[1] for b in bundles]
     assert [trace[-1].tick for trace in expected] == [3, 8]
     start = init(bundles[0])
@@ -803,6 +803,55 @@ def test_step_checks_the_stepped_bundles_overrides(initial, code):
                 assert (err.value.code, err.value.message) == (code,
                                                               first.message)
             cfg = step(b, cfg)[0]
+
+
+@pytest.mark.parametrize("store, accepted, rejected", [
+    ("M1.block", True, 1), ("B1.count", 1, True), ("B1.count", 1, 1.0)])
+def test_an_override_equal_to_an_accepted_one_is_checked_anew(
+        store, accepted, rejected):
+    # 1 == True == 1.0, yet a store starts at only one of them: the
+    # program compiled for the accepted value must not serve the other
+    b = parse_file(FIXTURES / "assembly_line.tm").bundle
+    good = dataclasses.replace(b, initial={store: accepted})
+    bad = dataclasses.replace(b, initial={store: rejected})
+    expected = run(good)
+    first = next(d for d in validate_model(bad) if d.severity == "error")
+    for call in (init, run, lambda bad: step(bad, init(good)),
+                 lambda bad: enabled_events(bad, init(good))):
+        with pytest.raises(TmError) as err:
+            call(bad)
+        assert (err.value.code, err.value.message) == (first.code,
+                                                      first.message)
+    assert run(good) == expected
+
+
+def _fixture(name):
+    return parse_file(FIXTURES / f"{name}.tm").bundle
+
+
+@pytest.mark.parametrize("stepped, given, change, message", [
+    ("assembly_line", "door", {}, "configuration has no counter B1.count"),
+    ("door", "assembly_line", {}, "configuration has no flag doorwayEmpty"),
+    ("door", "door", {"counters": {"zz": 1}},
+     "configuration holds 'zz', which is no counter of the model"),
+    ("door", "door", {"flags": {"doorwayEmpty": True, "zz": True}},
+     "configuration holds 'zz', which is no flag of the model"),
+    ("assembly_line", "assembly_line",
+     {"timers": {"B1.count": engine.TimerState()}},
+     "configuration holds 'B1.count', which is no timer of the model"),
+], ids=["assembly from door", "door from assembly", "extra counter",
+        "extra flag", "counter as a timer"])
+def test_a_configuration_with_other_stores_is_refused(stepped, given, change,
+                                                      message):
+    # such configurations once raised a raw KeyError, or stepped on with
+    # the extra flag carried along
+    b = _fixture(stepped)
+    cfg = dataclasses.replace(init(_fixture(given)), **change)
+    for call in (step, enabled_events):
+        with pytest.raises(TmError) as err:
+            call(b, cfg)
+        assert (err.value.code, err.value.message) == (E_UNRESOLVED_REF,
+                                                      message)
 
 
 # --- doorway fixture -----------------------------------------------------------
@@ -1070,7 +1119,7 @@ def reset_bundles():
 @pytest.mark.parametrize("first", [0, 1])
 def test_bundles_sharing_a_program_reset_to_their_own_initial(first):
     bundles = reset_bundles()
-    assert model.compile(bundles[0]) is model.compile(bundles[1])
+    assert model.compile(bundles[0]) is not model.compile(bundles[1])
     expected = [run(cold(b)) for b in bundles]
     assert [(cfg.counters["c"], cfg.flags["f"]) for cfg, _ in expected] == [
         (1, False), (2, True)]

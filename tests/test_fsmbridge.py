@@ -384,6 +384,8 @@ def test_state_mapping_errors_name_line_and_column():
             "2:10: bad action ref 'st.Closed.bogus'",
         "Closed = \n": "1:1: state Closed maps to nothing",
         "Closed = st.Closed.create $\n": "1:27: unexpected character '$'",
+        "Closed = st.Closed.create\nClosed = st.Closed.process\n":
+            "2:1: state Closed mapped twice",
     }
     for text, where in cases.items():
         with pytest.raises(TmError) as err:

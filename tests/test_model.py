@@ -1,8 +1,10 @@
 """Structural checks: references, kinds, regions, validation."""
 
+import copy
 import gc
+import pickle
 import weakref
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -522,6 +524,25 @@ def test_a_bundle_keeps_a_read_only_copy_of_its_overrides():
     with pytest.raises(TypeError):
         b.initial["B1.count"] = 9
     assert b.initial == {"B1.count": 1} and b.starts["B1.count"] == 1
+
+
+COPIERS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+@pytest.mark.parametrize("copier", COPIERS)
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.tm")))
+def test_a_copy_of_a_bundle_or_model_is_built_from_its_fields(name, copier):
+    # a read-only `initial` once made these raise TypeError, and a
+    # model's copy once carried its caches and its program's tick table
+    b = parse_file(FIXTURES / name).bundle
+    expected = run(b)
+    for original in (b, b.model):
+        duplicate = COPIERS[copier](original)
+        assert duplicate == original
+        assert set(vars(duplicate)) == {f.name for f in fields(original)}
+        assert run(duplicate if original is b
+                   else replace(b, model=duplicate)) == expected
 
 
 def test_an_event_region_given_as_a_set_validates_and_runs():
