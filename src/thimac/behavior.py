@@ -32,9 +32,10 @@ from .model import (
     TmError,
     block_flag_id,
     cached_value,
+    compile,
     successor_table,
 )
-from .engine import Configuration, init, quiescent, step
+from .engine import Configuration, _check_config, init, quiescent, step
 
 MACHINE_IDLE = "idle"
 MACHINE_BUSY = "busy"
@@ -171,8 +172,10 @@ def project_config(bundle: ModelBundle, projection, config: Configuration):
     """Project a configuration onto named components, in declaration
     order: counters give their value, flags their truth, token-bearing
     thimacs their status (`machine_status`, from one scan of the
-    tokens).  Unknown ids and timers raise TmError.  Each projection is
-    planned once per model, as (kind, id, block flag id) per id."""
+    tokens).  Unknown ids and timers raise TmError, as does a
+    configuration that lacks a projected store, with `step`'s message.
+    Each projection is planned once per model, as (kind, id, block flag
+    id) per id."""
     projection = tuple(projection)
     plans = bundle.model._projections
     try:
@@ -196,17 +199,22 @@ def project_config(bundle: ModelBundle, projection, config: Configuration):
     counters, flags = config.counters, config.flags
     out = []
     busy = None
-    for kind, tid, block in plan:
-        if kind is _COUNTER:
-            out.append(counters[tid])
-        elif kind is _FLAG:
-            out.append(flags[tid])
-        elif flags.get(block):
-            out.append(MACHINE_BLOCKED)
-        else:
-            if busy is None:
-                busy = _busy(config)
-            out.append(MACHINE_BUSY if tid in busy else MACHINE_IDLE)
+    try:
+        for kind, tid, block in plan:
+            if kind is _COUNTER:
+                out.append(counters[tid])
+            elif kind is _FLAG:
+                out.append(flags[tid])
+            elif flags.get(block):
+                out.append(MACHINE_BLOCKED)
+            else:
+                if busy is None:
+                    busy = _busy(config)
+                out.append(MACHINE_BUSY if tid in busy else MACHINE_IDLE)
+    except KeyError:
+        # checked only on a failed read, so a projection pays no check
+        _check_config(compile(bundle), config)
+        raise
     return tuple(out)
 
 

@@ -614,7 +614,7 @@ def parse_file(path) -> ParseResult:
 def _thimac_block(t: Thimac) -> str:
     # enum texts through `_value_`: Enum's `value` is a Python-level call
     members = []
-    if not t.is_store:
+    if t.actions and not t.is_store:
         acts = ", ".join(a._value_ for a in ACTION_ORDER if a in t.actions)
         members.append(f"  actions: {acts}")
     if t.kind == ThimacKind.COUNTER:

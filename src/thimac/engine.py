@@ -73,10 +73,11 @@ rank.
 A configuration that `step` builds from a recorded tick (a hit, or a
 miss it has just recorded) carries its state key and its live labels
 (`Configuration.ranked`), so the look-up after it skips the token scan
-and the key build; any other configuration, such as `init`'s or a
-copy, is ranked in full, once its store tables are checked against the
-program's stores.  A configuration's tables must therefore not change
-once `step` returns it.
+and the key build, and its tables must not change once `step` returns
+it; any other is ranked in full.  Opening a tick checks a
+configuration's stores and pending events against the program; a hit
+needs no check, as only opened ticks are keyed and a key spells out the
+store ids, table sizes and pending events.
 
 A run ends at quiescence: nothing pending, no injections left, and no
 timer still counting.
@@ -87,7 +88,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Optional
 
 from .dsl import _escape, is_identifier, read_int, read_string
 from .model import (
@@ -372,22 +373,23 @@ def _inject(prog: Program, arrivals, config: Configuration):
     return new
 
 
-def _open_tick(prog: Program, config: Configuration, new, labels: tuple):
-    """Resolve the pending instances of the tick after `config`, with
-    the events the injected tokens `new` pend, by priority, then subject
-    (none first, then by rank in `labels`, then one with no live token),
-    against the start of that tick, without changing `config`: the
-    stores of `config` (injection moves no store) and the placements
-    after the injection.  Returns (event, pended subject, binding or
-    None) per instance in that order."""
+def _open_tick(prog: Program, config: Configuration, new, rank: dict):
+    """Check `config` against the program, then resolve the pending
+    instances of the tick after it, with the events the injected tokens
+    `new` pend, by priority, then subject (none first, then by `rank`,
+    then one with no live token), against the start of that tick,
+    without changing `config`: the stores of `config` (injection moves
+    no store) and the placements after the injection.  Returns (event,
+    pended subject, binding or None) per instance in that order."""
+    _check_config(prog, config)
     order = config.pending
     if new:
         order = dict.fromkeys(chain(order, [
             (eid, None) for tok in new.values()
             for eid in prog.injection_events.get(tok.thimac, ())]))
-    rank = {label: i for i, label in enumerate([None, *labels])}
     order = sorted(order, key=lambda entry: (
-        prog.priority[entry[0]], rank.get(entry[1], len(rank))))
+        prog.priority[entry[0]],
+        -1 if entry[1] is None else rank.get(entry[1], len(rank))))
     places = _placements(chain(config.tokens.items(), new.items()))
     return [(eid, subj, _resolve(prog, eid, subj, config, places))
             for eid, subj in order]
@@ -480,14 +482,12 @@ def _fire(prog: Program, config: Configuration, new, opening):
 # ---------------------------------------------------------------------------
 
 
-def _ranked(pairs, labels: Sequence) -> tuple:
-    """(event, label) pairs flattened to (event, rank, ...), a rank
-    being an index into `labels`: None stays None and a label with no
-    rank becomes -1."""
+def _ranked(pairs, rank: dict) -> tuple:
+    """(event, label) pairs flattened to (event, rank, ...) by `rank`:
+    None stays None and a label with no rank becomes -1."""
     flat = []
     for eid, label in pairs:
-        flat += (eid, label if label is None else
-                 labels.index(label) if label in labels else -1)
+        flat += (eid, label if label is None else rank.get(label, -1))
     return tuple(flat)
 
 
@@ -504,22 +504,23 @@ def _rank(config: Configuration):
     token's (thimac, stage), the pending instances in the order they
     were pended, and each store table as its size, its ids and its
     values."""
-    labels, places = [], []
+    rank, places = {}, []
     for label, tok in config.tokens.items():
         if tok.thimac is not None:
-            labels.append(label)
+            rank[label] = len(rank)
             places += (tok.thimac, tok.stage)
     counters, flags, timers = config.counters, config.flags, config.timers
-    return (tuple(places), _ranked(config.pending, labels),
+    return (tuple(places), _ranked(config.pending, rank),
             len(counters), *counters, *counters.values(),
             len(flags), *flags, *flags.values(),
-            len(timers), *timers, *timers.values()), tuple(labels)
+            len(timers), *timers, *timers.values()), tuple(rank)
 
 
-def _check_stores(prog: Program, config: Configuration):
+def _check_config(prog: Program, config: Configuration):
     """Raise E_UNRESOLVED_REF unless the counter, flag and timer tables
     of `config` hold exactly the program's stores of each kind, naming
-    the first store missing, else the first id too many."""
+    the first store missing, else the first id too many, and unless the
+    program has every event `config` pends."""
     tables = {_COUNTER: config.counters, _FLAG: config.flags,
               _TIMER: config.timers}
     for tid in prog.starts:
@@ -534,23 +535,22 @@ def _check_stores(prog: Program, config: Configuration):
                 raise TmError(E_UNRESOLVED_REF,
                               f"configuration holds {tid!r}, which is no "
                               f"{kind.value} of the model")
+    for eid, _subj in config.pending:
+        if eid not in prog.info:
+            raise TmError(E_UNRESOLVED_REF, f"configuration pends {eid!r}, "
+                          f"which is no event of the model")
 
 
 def _look_up(bundle: ModelBundle, config: Configuration):
     """Inject the arrivals of the tick after `config`, key the tick and
-    look it up in the program's tick table, checking the stores of a
-    configuration that carries no key.  Returns the key (the state
+    look it up in the program's tick table.  Returns the key (the state
     key `config` carries or `_rank` builds, and the arrival thimacs),
     the labels by rank (the live tokens in injection order, then the
     arrivals), the injected tokens and the table's entry, None when
     unrecorded."""
     prog = compile(bundle)
     injections = bundle.arrivals.get(config.tick + 1)
-    if config.ranked is None:
-        _check_stores(prog, config)
-        state, labels = _rank(config)
-    else:
-        state, labels = config.ranked
+    state, labels = config.ranked or _rank(config)
     if not injections:
         key = (state, ())
         return key, labels, {}, prog.ticks.get(key)
@@ -559,7 +559,7 @@ def _look_up(bundle: ModelBundle, config: Configuration):
     return key, (*labels, *new), new, prog.ticks.get(key)
 
 
-def _record(prog: Program, key, labels: tuple, opening, cfg: Configuration,
+def _record(prog: Program, key, rank: dict, opening, cfg: Configuration,
             fired):
     """Record under `key` the tick that opened as `opening` and fired
     into `cfg`, by rank: the opening's bindings, (thimac, stage) of each
@@ -569,24 +569,24 @@ def _record(prog: Program, key, labels: tuple, opening, cfg: Configuration,
     key of `cfg` with the ranks of its live tokens, which `cfg` then
     carries.  Nothing is recorded past the table's bound, nor for a
     tick whose bindings or outcome name a label without a rank."""
-    if prog.tick_places + 1 + len(labels) > TICK_TABLE_PLACES:
+    if prog.tick_places + 1 + len(rank) > TICK_TABLE_PLACES:
         return
     enabled = _ranked([(eid, b.subject) for eid, _subj, b in opening
-                       if b is not None], labels)
-    pending = _ranked(cfg.pending, labels)
-    ranks = _ranked([(f.event, f.subject) for f in fired], labels)
+                       if b is not None], rank)
+    pending = _ranked(cfg.pending, rank)
+    ranks = _ranked([(f.event, f.subject) for f in fired], rank)
     if -1 in enabled or -1 in pending or -1 in ranks:
         return
     places = []
-    for label in labels:
+    for label in rank:
         tok = cfg.tokens[label]
         places += (tok.thimac, tok.stage)
     state, live = _rank(cfg)
-    prog.tick_places += 1 + len(labels)
+    prog.tick_places += 1 + len(rank)
     prog.ticks[key] = (enabled, tuple(places), dict(cfg.counters),
                        dict(cfg.flags), dict(cfg.timers), pending,
                        tuple(zip(fired, ranks[1::2])), state,
-                       tuple([labels.index(label) for label in live]))
+                       tuple([rank[label] for label in live]))
     object.__setattr__(cfg, "ranked", (state, live))
 
 
@@ -623,9 +623,10 @@ def step(bundle: ModelBundle, config: Configuration):
     if entry is not None:
         return _replay(config, labels, new, entry)
     prog = compile(bundle)
-    opening = _open_tick(prog, config, new, labels)
+    rank = {label: i for i, label in enumerate(labels)}
+    opening = _open_tick(prog, config, new, rank)
     cfg, trace_entry = _fire(prog, config, new, opening)
-    _record(prog, key, labels, opening, cfg, trace_entry.fired)
+    _record(prog, key, rank, opening, cfg, trace_entry.fired)
     return cfg, trace_entry
 
 
@@ -661,7 +662,8 @@ def enabled_events(bundle: ModelBundle, config: Configuration):
     _key, labels, new, entry = _look_up(bundle, config)
     if entry is not None:
         return _labelled(entry[0], labels)
-    opening = _open_tick(compile(bundle), config, new, labels)
+    rank = {label: i for i, label in enumerate(labels)}
+    opening = _open_tick(compile(bundle), config, new, rank)
     return [(eid, b.subject) for eid, _subj, b in opening if b is not None]
 
 

@@ -215,6 +215,18 @@ def test_project_timer_is_an_error():
     assert "'dial.timer'" in err.value.message
 
 
+def test_project_another_models_configuration():
+    # a missing store raises the error `step` raises; a configuration
+    # that holds every projected id is projected as it is
+    b = assembly()
+    door = init(parse_file(FIXTURES / "door.tm").bundle)
+    with pytest.raises(TmError) as err:
+        project_config(b, ("B1.count", "M1"), door)
+    assert (err.value.code, err.value.message) == (
+        E_UNRESOLVED_REF, "configuration has no counter B1.count")
+    assert project_config(b, ("M1",), door) == (MACHINE_IDLE,)
+
+
 def test_reachable_configs_own_schedule():
     b = assembly()
     seen = reachable_configs(b, ASSEMBLY_PROJECTION)

@@ -292,6 +292,25 @@ def test_flow_endpoint_diagnostics():
     assert all(d.line == 3 for d in result.diagnostics)
 
 
+HEAD = "model m\nthimac A kind machine { actions: process }\n"
+FLAG = HEAD + "thimac f kind flag { init false }\n"
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    ("model m\nthimac f kind flag { init maybe }\n",
+     "<input>:2:27: E_SYNTAX expected true or false, got 'maybe'"),
+    (HEAD + "thimac c kind counter { range 0 .. 1 init 0 }\n"
+     "trigger A.process -> c.create effect inc when 3\n",
+     "<input>:4:47: E_SYNTAX expected a guard atom"),
+    (FLAG + "initial { f < 1; }\n",
+     "<input>:4:13: E_SYNTAX expected '=', got '<'"),
+    (FLAG + "initial { f = maybe; }\n",
+     "<input>:4:15: E_SYNTAX expected a value, got 'maybe'"),
+], ids=["flag init", "guard atom", "initial '='", "initial value"])
+def test_a_syntax_error_names_what_was_expected(text, diagnostic):
+    assert [str(d) for d in parse(text).diagnostics] == [diagnostic]
+
+
 def test_bad_effect_name_is_syntax():
     text = ("model m\n"
             "thimac A kind machine { actions: process }\n"
@@ -426,6 +445,18 @@ def test_canonical_fixpoint():
     assert second.bundle == canonicalize(first.bundle)
     # and serializing again is byte stable
     assert serialize(second.bundle) == text1
+
+
+def test_a_thimac_with_no_actions_round_trips():
+    # no `actions:` member: parse refuses one with an empty list
+    first = parse("model m\nthimac X kind sink { }\n")
+    assert first.ok, first.diagnostics
+    text = serialize(first.bundle)
+    assert "thimac X kind sink { }" in text
+    second = parse(text)
+    assert second.ok, [str(d) for d in second.diagnostics]
+    assert second.bundle == canonicalize(first.bundle)
+    assert serialize(second.bundle) == text
 
 
 def test_serialize_orders_members():

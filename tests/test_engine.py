@@ -262,6 +262,25 @@ def test_process_capacity_blocks_follower():
     assert (tok.thimac, tok.stage) == ("M", ActionKind.RECEIVE)
 
 
+@pytest.mark.parametrize("event, stage, fires", [
+    ("work", ActionKind.RECEIVE, True),
+    ("settle", ActionKind.RECEIVE, True),
+    ("settle", ActionKind.PROCESS, False),
+], ids=["receive to process", "at receive", "process back to receive"])
+def test_progression_never_moves_a_token_back(event, stage, fires):
+    # settle's region is M.receive alone: a progression to receive,
+    # which lapses for a token already deeper, at process
+    b = line_bundle()
+    b = dataclasses.replace(b, events=(*b.events, Event(
+        "settle", frozenset({ref("M.receive")}))))
+    cfg = dataclasses.replace(init(b), tick=1,
+                              tokens={"t1": Token("M", stage)},
+                              pending={(event, "t1"): None})
+    want = [(event, "t1")] if fires else []
+    assert enabled_events(b, cfg) == want
+    assert fired_list(step(b, cfg)[1]) == want
+
+
 def two_feeds_bundle(labels):
     """Sources s1 and s2 each feed one token of `labels` into M at tick
     1, through events e1 and e2, and each arrival pends work on it."""
@@ -847,6 +866,44 @@ def test_a_configuration_with_other_stores_is_refused(stepped, given, change,
     # the extra flag carried along
     b = _fixture(stepped)
     cfg = dataclasses.replace(init(_fixture(given)), **change)
+    for call in (step, enabled_events):
+        with pytest.raises(TmError) as err:
+            call(b, cfg)
+        assert (err.value.code, err.value.message) == (E_UNRESOLVED_REF,
+                                                      message)
+
+
+def _without_e5(b):
+    """`b` without event E5 and the chronology and priority that name it."""
+    return dataclasses.replace(
+        b, events=[e for e in b.events if e.id != "E5"],
+        behavior=[edge for edge in b.behavior if "E5" not in edge],
+        priority=[eid for eid in b.priority if eid != "E5"])
+
+
+def _stepped_assembly():
+    b = _fixture("assembly_line")
+    cfg = step(b, init(b))[0]
+    assert cfg.ranked is not None and ("E5", "S1") in cfg.pending
+    return cfg
+
+
+@pytest.mark.parametrize("stepped, given, message", [
+    (lambda: _fixture("door"), _stepped_assembly,
+     "configuration has no flag doorwayEmpty"),
+    (lambda: _without_e5(_fixture("assembly_line")), _stepped_assembly,
+     "configuration pends 'E5', which is no event of the model"),
+    (lambda: _fixture("assembly_line"),
+     lambda: dataclasses.replace(init(_fixture("assembly_line")),
+                                 pending={("nope", None): None}),
+     "configuration pends 'nope', which is no event of the model"),
+], ids=["keyed, of another model", "keyed, an unknown pending event",
+        "unkeyed, an unknown pending event"])
+def test_a_configuration_is_checked_when_its_tick_opens(stepped, given,
+                                                        message):
+    # a configuration `step` built carries its key, and is checked all
+    # the same once the tick opens, its pending events included
+    b, cfg = stepped(), given()
     for call in (step, enabled_events):
         with pytest.raises(TmError) as err:
             call(b, cfg)

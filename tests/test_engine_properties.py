@@ -20,9 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thimac import (
+    ActionKind,
     E_COUNTER_RANGE,
     E_UNRESOLVED_REF,
     Injection,
+    TOKEN_KINDS,
     ThimacKind,
     TmError,
     engine,
@@ -416,6 +418,16 @@ def test_a_look_up_is_handed_only_to_its_own_configuration(monkeypatch):
                     monkeypatch, stepper, cfg)
 
 
+def status(cfg, tid):
+    """A token thimac's status, as the projection rule states it."""
+    if cfg.flags.get(f"{tid}.block"):
+        return "blocked"
+    if any(tok.thimac == tid and tok.stage is ActionKind.PROCESS
+           for tok in cfg.tokens.values()):
+        return "busy"
+    return "idle"
+
+
 def test_a_projection_is_every_component_on_its_own():
     for name in ("assembly_line.tm", "door.tm", "phone_line.tm"):
         b = parse_file(FIXTURES / name).bundle
@@ -433,9 +445,12 @@ def test_a_projection_is_every_component_on_its_own():
         for cfg in configs + blocked:
             want = tuple(cfg.counters[tid] if kinds[tid] is ThimacKind.COUNTER
                          else cfg.flags[tid] if kinds[tid] is ThimacKind.FLAG
-                         else machine_status(b, cfg, tid) for tid in ids)
+                         else status(cfg, tid) for tid in ids)
             for projection in (tuple(ids), ids, dict.fromkeys(ids)):
                 assert project_config(b, projection, cfg) == want
+            for tid, got in zip(ids, want):
+                if kinds[tid] in TOKEN_KINDS:
+                    assert machine_status(b, cfg, tid) == got
             statuses.update(want)
         assert {"idle", "busy"} <= statuses
         if blocks:

@@ -22,7 +22,7 @@ from thimac import (
     validate_model,
 )
 from thimac import model
-from thimac.dsl import parse, serialize
+from thimac.dsl import parse, parse_file, serialize
 from thimac.engine import run
 from thimac.fsmbridge import (
     FsmSpec,
@@ -268,6 +268,20 @@ def test_project_reports_unmapped_and_overlap():
     assert report.overlaps == (("Closed", "Opened", shared),)
     partial = project_states(spec, b, {"Closed": shared})
     assert partial.unmapped == ("Opened",)
+    assert format_projection(report).endswith(
+        "overlap: Closed and Opened share st.Closed.process\n")
+
+
+@pytest.mark.parametrize("refs, connected", [
+    ("M1.transfer, M1.receive, B1.count.create", True),
+    ("M1.receive, B1.count.create, M2.transfer, M2.receive", False),
+], ids=["a flow and two triggers in a cycle", "two parts"])
+def test_a_projected_region_is_joined_by_its_flows_and_triggers(refs,
+                                                                connected):
+    b = parse_file(FIXTURES / "assembly_line.tm").bundle
+    mapping = parse_state_mapping(f"Closed = {refs}\n")
+    (entry,) = project_states(door_spec(), b, mapping).entries
+    assert entry.connected is connected
 
 
 def test_parse_state_mapping():
@@ -380,6 +394,7 @@ def test_fsm_to_tm_refuses_names_that_are_not_identifiers():
 def test_state_mapping_errors_name_line_and_column():
     cases = {
         "Closed st.Closed.create\n": "1:8: expected STATE = ref, ref",
+        "= st.Closed.create\n": "1:1: expected STATE = ref, ref",
         "# note\nClosed = st.Closed.bogus\n":
             "2:10: bad action ref 'st.Closed.bogus'",
         "Closed = \n": "1:1: state Closed maps to nothing",

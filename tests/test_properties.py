@@ -12,6 +12,8 @@ from thimac import (
     FlowEdge,
     ModelBundle,
     StaticModel,
+    Thimac,
+    ThimacKind,
     canonicalize,
     has_errors,
     validate_model,
@@ -95,6 +97,11 @@ def test_validated_bundles_round_trip_through_a_file(tmp_path_factory,
     renames = {old: data.draw(NAMES) for old in chosen}
     b = renamed(base, lambda n: renames.get(n, n),
                 lambda _label: data.draw(LABELS))
+    if data.draw(st.booleans()):
+        # an unreferenced token thimac with no actions
+        spare = Thimac("spare", ThimacKind.SINK)
+        b = dataclasses.replace(b, model=dataclasses.replace(
+            b.model, thimacs=(*b.model.thimacs, spare)))
     if has_errors(validate_model(b)):
         return
     path = tmp_path_factory.getbasetemp() / "roundtrip.tm"
