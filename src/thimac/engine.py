@@ -10,7 +10,8 @@ and a timer's duration the compiled program's.  Each step:
    the target's receive action when it has one, else at release) and
    pends every event whose region touches the target thimac;
 2. resolves each pending instance, by priority and then subject (none
-   first, then the older token first), against the start of the tick:
+   first, then the older token first, then a subject with no live
+   token), against the start of the tick:
    guards read the stores of the previous configuration and binding
    the token placements after injection.  This opening reads the
    previous configuration in place and changes nothing in it; the step
@@ -19,10 +20,11 @@ and a timer's duration the compiled program's.  Each step:
    earlier firing this tick defers to the next tick, and the rest fire;
    `enabled_events` runs this same opening and stops short of conflicts
    and firing;
-3. firing moves the bound tokens (flow paths shift every path's token
-   to its sink; progression advances one token between the stages of a
-   single thimac), then applies the induced triggers in canonical order
-   with guards re-read mid-tick;
+3. firing moves the bound tokens, each by putting a new `Token` at its
+   label (flow paths shift every path's token to its sink; progression
+   advances one token between the stages of a single thimac), then
+   applies the induced triggers in canonical order with guards re-read
+   mid-tick;
 4. each fired event activates its chronology successors: bookkeeping
    successors go on top of the one stack the tick fires from, so they
    co-fire depth first, before the next instance, in chains of any
@@ -31,8 +33,9 @@ and a timer's duration the compiled program's.  Each step:
    successors pend for the next tick, carrying the subject when they
    bind tokens;
 5. at tick end, tokens injected this tick that still sit in a source
-   thimac drain away (only this tick's injections are visited),
-   counters are checked against their ranges, and
+   thimac drain away, each replaced by an exited `Token` (only this
+   tick's injections are visited, each read from the table, since it
+   may have moved), counters are checked against their ranges, and
    running timers count down, each step replacing the timer's record;
    a timer reaching zero is replaced by an expired one and pends the
    events guarded on its expiry.
@@ -55,9 +58,11 @@ replaces each token label by the token's rank, the live tokens in
 injection order and then the tick's arrivals.  It holds the state key
 of the configuration and the arrival thimacs; the state key holds the
 live tokens' places, the pending instances in the order they were
-pended, with subjects as ranks (a subject with no live token can only
-lapse, so all such share one mark), and the store values.  A rank may
-stand for a label because a label only tells tokens apart.
+pended, with subjects as ranks (all subjects with no live token share
+one mark: an instance that binds tokens lapses on one, and one that
+binds none fires under its label, which has no rank, so that tick is
+not recorded), and the store values.  A rank may stand for a label
+because a label only tells tokens apart.
 An entry, recorded only by `step`, is one whole fired tick by rank:
 the opening's bindings, where each ranked token rests after it, store
 tables ready to copy, the next pending instances and the firings, one
@@ -75,9 +80,12 @@ miss it has just recorded) carries its state key and its live labels
 (`Configuration.ranked`), so the look-up after it skips the token scan
 and the key build, and its tables must not change once `step` returns
 it; any other is ranked in full.  Opening a tick checks a
-configuration's stores and pending events against the program; a hit
-needs no check, as only opened ticks are keyed and a key spells out the
-store ids, table sizes and pending events.
+configuration's stores, pending events and the places of its live
+tokens against the program; a hit needs no check, as only opened ticks
+are keyed and a key spells out the store ids, table sizes, pending
+events and token places.  No step changes a `Token`: a move, a drain
+and a replay each put a new one at the label, and `_next` copies the
+previous configuration's tokens, the only place a token is copied.
 
 A run ends at quiescence: nothing pending, no injections left, and no
 timer still counting.
@@ -139,7 +147,8 @@ class TimerState:
 @dataclass(slots=True)
 class Token:
     """Where a token rests (thimac None once exited); its label is its
-    key in `Configuration.tokens`, its age its position."""
+    key in `Configuration.tokens`, its age its position.  The engine
+    builds tokens and never changes one."""
 
     thimac: Optional[str]
     stage: Optional[ActionKind]
@@ -147,9 +156,6 @@ class Token:
     @property
     def alive(self) -> bool:
         return self.thimac is not None
-
-    def copy(self) -> "Token":
-        return Token(self.thimac, self.stage)
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,13 +380,15 @@ def _inject(prog: Program, arrivals, config: Configuration):
 
 
 def _open_tick(prog: Program, config: Configuration, new, rank: dict):
-    """Check `config` against the program, then resolve the pending
-    instances of the tick after it, with the events the injected tokens
-    `new` pend, by priority, then subject (none first, then by `rank`,
-    then one with no live token), against the start of that tick,
-    without changing `config`: the stores of `config` (injection moves
-    no store) and the placements after the injection.  Returns (event,
-    pended subject, binding or None) per instance in that order."""
+    """Check `config` against the program, its live tokens' places
+    last, then resolve the pending instances of the tick after it, with
+    the events the injected tokens `new` pend, by priority, then subject
+    (none first, then by `rank`, then one with no live token, which
+    lapses if its event binds tokens and else fires under that label),
+    against the start of that tick, without changing `config`: the
+    stores of `config` (injection moves no store) and the placements
+    after the injection.  Returns (event, pended subject, binding or
+    None) per instance in that order."""
     _check_config(prog, config)
     order = config.pending
     if new:
@@ -391,15 +399,24 @@ def _open_tick(prog: Program, config: Configuration, new, rank: dict):
         prog.priority[entry[0]],
         -1 if entry[1] is None else rank.get(entry[1], len(rank))))
     places = _placements(chain(config.tokens.items(), new.items()))
+    for tid, here in places.items():
+        for label, stage in here.items():
+            if (tid, stage) not in prog.places:
+                raise TmError(E_UNRESOLVED_REF, (
+                    f"configuration rests token {label!r} at {tid}."
+                    f"{getattr(stage, 'value', stage)}, where no token of "
+                    f"the model can rest"))
     return [(eid, subj, _resolve(prog, eid, subj, config, places))
             for eid, subj in order]
 
 
 def _next(config: Configuration, new, counters, flags, timers, ranked=None):
-    """The configuration after `config` as a tick starts it: copies of
-    its tokens plus the injected `new`, the given store tables and key
-    (`ranked`), and nothing pending yet."""
-    tokens = {label: tok.copy() for label, tok in config.tokens.items()}
+    """The configuration after `config` as a tick starts it: a copy of
+    each of its tokens, built here and nowhere else, plus the injected
+    `new`, the given store tables and key (`ranked`), and nothing
+    pending yet."""
+    tokens = {label: Token(tok.thimac, tok.stage)
+              for label, tok in config.tokens.items()}
     tokens.update(new)
     return _configuration(config.tick + 1, counters, flags, timers, tokens, {},
                           ranked)
@@ -434,9 +451,7 @@ def _fire(prog: Program, config: Configuration, new, opening):
             cfg.pending[eid, subj] = None
             continue
         for label, (thimac, stage) in binding.moves:
-            tok = cfg.tokens[label]
-            tok.thimac = thimac
-            tok.stage = stage
+            cfg.tokens[label] = Token(thimac, stage)
         _apply_triggers(binding.info, cfg, prog.starts)
         fired.append(_fired(eid, binding.subject,
                             binding.info.event.bookkeeping))
@@ -450,11 +465,10 @@ def _fire(prog: Program, config: Configuration, new, opening):
                 cfg.pending[succ_id, context if carries else None] = None
 
     # tokens injected this tick that never left their source drain away
-    for tok in new.values():
-        if (tok.thimac is not None
-                and prog.thimacs[tok.thimac].kind is _SOURCE):
-            tok.thimac = None
-            tok.stage = None
+    for label in new:
+        tid = cfg.tokens[label].thimac
+        if tid is not None and prog.thimacs[tid].kind is _SOURCE:
+            cfg.tokens[label] = Token(None, None)
 
     for tid, value in cfg.counters.items():
         decl = prog.thimacs[tid]
@@ -603,9 +617,7 @@ def _replay(config: Configuration, labels: tuple, new, entry):
     tokens = cfg.tokens
     places = iter(places)
     for label, thimac, stage in zip(labels, places, places):
-        tok = tokens[label]
-        tok.thimac = thimac
-        tok.stage = stage
+        tokens[label] = Token(thimac, stage)
     pend = cfg.pending
     pending = iter(pending)
     for eid, rank in zip(pending, pending):

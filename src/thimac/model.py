@@ -783,12 +783,12 @@ class Program:
     analyses, priority ranks, chronology successors as (id, co-fires?,
     carries the subject?) per event, the events to pend when a token
     lands in a thimac or a timer runs out, where a token injected into a
-    thimac lands (receive, else release), and `starts`, each store's
-    start.  `ticks` is the engine's tick table, filled as bundles sharing
-    the program run, and `tick_places` counts the places it holds; like
-    every table here it holds no model, bundle or program, so no cycle
-    forms.  Raises TmError as `compile` unless the model records a clean
-    verdict."""
+    thimac lands (receive, else release), `places`, each (thimac, stage)
+    a token may rest at, and `starts`, each store's start.  `ticks` is
+    the engine's tick table, filled as bundles sharing the program run,
+    and `tick_places` counts the places it holds; like every table here
+    it holds no model, bundle or program, so no cycle forms.  Raises
+    TmError as `compile` unless the model records a clean verdict."""
 
     def __init__(self, bundle: "ModelBundle"):
         model = bundle.model
@@ -808,6 +808,9 @@ class Program:
         self.landing = {
             t.id: receive if receive in t.effective_actions else release
             for t in model.thimacs if injection_problem(t, t.id) is None}
+        self.places = frozenset([
+            (t.id, stage) for t in model.thimacs if t.kind in TOKEN_KINDS
+            for stage in t.actions if stage in STAGE_DEPTH])
         successor = {}
         for eid, event in events.items():
             info = self.info[eid] = model.event_info(event)

@@ -548,10 +548,38 @@ def test_secondary_path_without_a_second_token_lapses():
     assert not cfg.tokens["t1"].alive
 
 
-def test_cofire_rebinds_when_the_subject_has_left():
-    # ship/t1 sends t1 out; its bookkeeping successor work cannot take
-    # t1 any more and binds t2, which arrived earlier in the same tick
-    b = bundle(
+def two_carrier_bundle():
+    """Event F moving a token along each of two paths out of machines A
+    and B, into machines C and D."""
+    def path(head, tail):
+        return [FlowEdge(ref(f"{head}.release"), ref(f"{head}.transfer")),
+                FlowEdge(ref(f"{head}.transfer"), ref(f"{tail}.receive"))]
+    return bundle(
+        thimacs=[machine(tid) for tid in "ABCD"],
+        flows=path("A", "C") + path("B", "D"),
+        events=[Event("F", frozenset(map(ref, [
+            "A.release", "A.transfer", "C.receive",
+            "B.release", "B.transfer", "D.receive"])))])
+
+
+def test_a_carried_subject_takes_the_primary_path_only():
+    # s, carried into F, moves along A -> C; the path B -> D binds the
+    # token resting at its own head
+    b = two_carrier_bundle()
+    cfg = Configuration(0, {}, {}, {}, {
+        "s": Token("A", ActionKind.RELEASE),
+        "t": Token("B", ActionKind.RELEASE)}, {("F", "s"): None})
+    after, entry = step(b, cfg)
+    assert fired_list(entry) == [("F", "s")]
+    assert {label: (tok.thimac, tok.stage)
+            for label, tok in after.tokens.items()} == {
+        "s": ("C", ActionKind.RECEIVE), "t": ("D", ActionKind.RECEIVE)}
+
+
+def rebind_bundle():
+    """arrive, ship and then bookkeeping work, which co-fires with ship;
+    t1 arrives at tick 1 and t2 at tick 2."""
+    return bundle(
         thimacs=[source("env"), machine("M"), sink("out")],
         flows=[FlowEdge(ref("env.release"), ref("env.transfer")),
                FlowEdge(ref("env.transfer"), ref("M.receive")),
@@ -568,7 +596,12 @@ def test_cofire_rebinds_when_the_subject_has_left():
         priority=["arrive", "ship", "work"],
         schedule=[Injection(1, "env", "t1"), Injection(2, "env", "t2")],
     )
-    cfg, trace = run(b)
+
+
+def test_cofire_rebinds_when_the_subject_has_left():
+    # ship/t1 sends t1 out; its bookkeeping successor work cannot take
+    # t1 any more and binds t2, which arrived earlier in the same tick
+    cfg, trace = run(rebind_bundle())
     assert [fired_list(e) for e in trace] == [
         [("arrive", "t1")],
         [("arrive", "t2"), ("ship", "t1"), ("work", "t2")],
@@ -690,6 +723,47 @@ def test_fired_and_replayed_records_match_public_ones(monkeypatch, fixture):
         runs.append((cfg, trace))
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][1]
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class FrozenToken:
+    """`Token` with its fields frozen."""
+
+    thimac: object
+    stage: object
+
+    @property
+    def alive(self):
+        return self.thimac is not None
+
+
+# Runs whose tokens move, drain, defer and rebind.
+TOKEN_RUNS = {
+    **{p.name: lambda p=p: parse_file(p).bundle
+       for p in sorted(FIXTURES.glob("*.tm"))},
+    "drain": lambda: line_bundle(schedule=[Injection(1, "env", "t1"),
+                                           Injection(1, "env", "t2")]),
+    "deferral": conflict_bundle,
+    "co-fire rebind": rebind_bundle,
+}
+
+
+@pytest.mark.parametrize("what", sorted(TOKEN_RUNS))
+def test_the_engine_never_changes_a_token(monkeypatch, what):
+    # a move, a drain and a replay each put a new token in the table, so
+    # frozen tokens run alike, opened cold and replayed warm
+    def outcome(cfg, trace):
+        return trace, {label: (tok.thimac, tok.stage)
+                       for label, tok in cfg.tokens.items()}
+
+    b = cold(TOKEN_RUNS[what]())
+    expected = outcome(*run(cold(b), max_ticks=40))
+    monkeypatch.setattr(engine, "Token", FrozenToken)
+    for _ in ("cold", "warm"):
+        cfg, trace = run(b, max_ticks=40)
+        assert outcome(cfg, trace) == expected
+        assert all(type(tok) is FrozenToken for tok in cfg.tokens.values())
+    assert model.compile(b).ticks
 
 
 # --- timers -------------------------------------------------------------------
@@ -904,6 +978,34 @@ def test_a_configuration_is_checked_when_its_tick_opens(stepped, given,
     # a configuration `step` built carries its key, and is checked all
     # the same once the tick opens, its pending events included
     b, cfg = stepped(), given()
+    for call in (step, enabled_events):
+        with pytest.raises(TmError) as err:
+            call(b, cfg)
+        assert (err.value.code, err.value.message) == (E_UNRESOLVED_REF,
+                                                      message)
+
+
+@pytest.mark.parametrize("given, change, message", [
+    ("assembly_line", {"tokens": {"x": Token("nope", ActionKind.PROCESS)}},
+     "configuration rests token 'x' at nope.process, where no token of the "
+     "model can rest"),
+    ("assembly_line", {"tokens": {"x": Token("M1", ActionKind.TRANSFER)},
+                       "pending": {("E6", None): None}},
+     "configuration rests token 'x' at M1.transfer, where no token of the "
+     "model can rest"),
+    ("assembly_line", {"tokens": {"x": Token("B1.count", ActionKind.RECEIVE)}},
+     "configuration rests token 'x' at B1.count.receive, where no token of "
+     "the model can rest"),
+    ("door", {"tokens": {"x": Token("nope", ActionKind.PROCESS)}},
+     "configuration has no counter B1.count"),
+], ids=["an unknown thimac", "a stage its thimac lacks", "a store",
+        "stores first"])
+def test_a_token_resting_where_no_token_can_is_refused(given, change,
+                                                       message):
+    # such tokens were once carried along silently, or raised a raw
+    # KeyError from STAGE_DEPTH; the stores are checked first
+    b = _fixture("assembly_line")
+    cfg = dataclasses.replace(init(_fixture(given)), **change)
     for call in (step, enabled_events):
         with pytest.raises(TmError) as err:
             call(b, cfg)
@@ -1405,6 +1507,17 @@ def test_a_subject_without_a_token_is_never_recorded():
                             {("again", label): None})
         assert fired_list(step(b, cfg)[1]) == [("again", label)]
     assert model.compile(b).ticks == {}
+
+
+def test_a_subject_without_a_token_opens_last():
+    # the opening takes an instance whose subject has no live token
+    # after those without a subject; a subjectless one fires all the same
+    b = countdown_bundle()
+    cfg = Configuration(1, {}, {"f": False}, {"tm": engine.TimerState()}, {},
+                        {("again", "x"): None, ("again", None): None})
+    expected = [("again", None), ("again", "x")]
+    assert enabled_events(b, cfg) == expected
+    assert fired_list(step(b, cfg)[1]) == expected
 
 
 def counted_places(prog):
